@@ -681,7 +681,8 @@ def _build_fuzz_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--exhaustive-budget", type=int, default=2000,
-        help="max interleavings for exhaustive enumeration (default 2000)",
+        help="max explored states per enumeration before falling back to "
+        "sampled schedules (default 2000)",
     )
     parser.add_argument(
         "--report", default=None, metavar="FILE", help="write the JSON report to FILE"

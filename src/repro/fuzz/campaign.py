@@ -101,6 +101,8 @@ def run_campaign(
         "differential_runs": 0,
         "exhaustive": 0,
         "sampled": 0,
+        # Summed OracleOutcome.executions: distinct final states explored
+        # (exhaustive cases) plus scheduled runs (sampled cases).
         "executions": 0,
         "leaks_observed": 0,
         "rejected_without_observed_leak": 0,

@@ -9,10 +9,13 @@ For each generated case the oracle derives three independent verdicts:
    when it reported ``secure``); any difference in the verified verdict
    is a *fast-path bug*.
 3. **Empirical noninterference** — paired executions over the case's
-   instance groups: full interleaving enumeration when the state space
-   fits a budget, seeded :class:`~repro.lang.scheduler.RandomScheduler`
-   sweeps otherwise.  A case the verifier PROVED that empirically leaks
-   is a *soundness failure* — the one verdict that must never occur.
+   instance groups: every reachable final state, found by the
+   partial-order-reduced explorer
+   :func:`~repro.lang.scheduler.enumerate_executions`, when each
+   variant's state space fits a budget of explored states; seeded
+   :class:`~repro.lang.scheduler.RandomScheduler` sweeps otherwise.  A
+   case the verifier PROVED that empirically leaks is a *soundness
+   failure* — the one verdict that must never occur.
 
 Observed leaks are additionally quantified with
 :func:`repro.security.leakage.mutual_information` /
@@ -32,7 +35,7 @@ from typing import Callable, List, Optional, Sequence
 
 from ..lang.ast import Command
 from ..lang.interpreter import AbortError
-from ..lang.scheduler import enumerate_executions
+from ..lang.scheduler import StateBudgetExceeded, enumerate_executions
 from ..lang.semantics import ABORT, Config, State
 from ..security.leakage import mutual_information, threshold_leak
 from ..security.noninterference import NIReport, Witness, channel_observer
@@ -75,6 +78,8 @@ class OracleOutcome:
     verified_no_prepass: Optional[bool]  # None when the fast path never fired
     empirical_secure: Optional[bool]
     empirical_mode: Optional[str]  # 'exhaustive' | 'sampled'
+    #: ``NIReport.executions_checked``: distinct final states explored
+    #: (exhaustive) or scheduled runs (sampled).
     executions: int
     witness: Optional[Witness]
     leak_bits: Optional[float]
@@ -100,25 +105,24 @@ def _exhaustive_within_budget(
     budget: int,
     observe,
 ) -> Optional[NIReport]:
-    """Exhaustive Def. 2.1 check, or ``None`` if the interleaving space
-    exceeds ``budget`` executions (a *completed* enumeration is required —
-    a truncated one could miss outputs asymmetrically across variants and
-    fabricate witnesses)."""
+    """Exhaustive Def. 2.1 check, or ``None`` if some variant's reachable
+    state space exceeds ``budget`` explored configurations (a *completed*
+    exploration is required — a truncated one could miss outputs
+    asymmetrically across variants and fabricate witnesses).  Counts
+    executions as :class:`NIReport` does: distinct final states."""
     total = 0
     for variants in groups:
         seen: dict = {}
         for inputs in variants:
-            outputs = set()
             initial = Config(program, State.make(dict(inputs)))
-            for final in enumerate_executions(initial, max_steps=50_000):
-                if final == ABORT:
-                    raise AbortError(f"program aborts on inputs {inputs!r}")
-                total += 1
-                if total > budget:
-                    return None
-                outputs.add(observe(final.state.output))
-            for output in outputs:
-                seen.setdefault(output, inputs)
+            try:
+                for final in enumerate_executions(initial, max_steps=50_000, max_states=budget):
+                    if final is ABORT:
+                        raise AbortError(f"program aborts on inputs {inputs!r}")
+                    total += 1
+                    seen.setdefault(observe(final.state.output), inputs)
+            except StateBudgetExceeded:
+                return None
         if len(seen) > 1:
             ordered = sorted(seen.items(), key=lambda item: repr(item[0]))
             (out1, in1), (out2, in2) = ordered[0], ordered[1]

@@ -39,9 +39,19 @@ class SourcePos:
 
 
 class Node:
-    """Base class for all AST nodes."""
+    """Base class for all AST nodes.
+
+    A node caches its structural hash on first use (see
+    :func:`_cache_hashes`); the cache is dropped when the node is pickled
+    or copied, because ``str`` hashes differ between interpreter runs.
+    """
 
     __slots__ = ()
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)  # type: ignore[attr-defined]
+        state.pop(_HASH, None)
+        return state
 
 
 def node_pos(node: Node) -> Optional[SourcePos]:
@@ -470,6 +480,41 @@ def command_mod(cmd: Command) -> frozenset[str]:
     if isinstance(cmd, Atomic):
         return command_mod(cmd.body)
     raise TypeError(f"not a command: {cmd!r}")
+
+
+# =============================================================================
+# Structural hash cache
+# =============================================================================
+
+#: Instance attribute holding a node's cached hash.
+_HASH = "_hash"
+
+
+def _cache_hashes(cls: type) -> None:
+    """Make ``cls`` (and its subclasses) compute the dataclass structural
+    hash once per node and keep it in the node's ``_hash`` attribute.
+
+    A frozen dataclass re-walks the whole subtree on every ``hash``; the
+    state-space explorer hashes each configuration several times, and
+    residual programs share almost all of their subtrees."""
+    for sub in cls.__subclasses__():
+        _cache_hashes(sub)
+    structural = cls.__dict__.get("__hash__")
+    if structural is None:
+        return
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = structural(self)
+            object.__setattr__(self, _HASH, value)
+            return value
+
+    cls.__hash__ = __hash__  # type: ignore[method-assign]
+
+
+_cache_hashes(Node)
 
 
 def seq_all(*commands: Command) -> Command:

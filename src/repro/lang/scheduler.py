@@ -12,8 +12,11 @@ space:
 * :class:`RandomScheduler` — seeded uniform choice, for probabilistic
   exploration;
 * :class:`FixedScheduler` — replays a recorded choice sequence;
-* :func:`enumerate_executions` — exhaustive interleaving enumeration with
-  a bound, used by the soundness tester on small programs.
+* :func:`enumerate_executions` — exhaustive exploration of the reachable
+  state space with commutativity-based partial-order reduction, used by
+  the exhaustive non-interference checks and the fuzz oracle;
+* :func:`enumerate_paths` — the naive one-path-per-interleaving
+  enumerator, kept as the reference the explorer is tested against.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterator, Optional, Sequence
 
-from .semantics import ABORT, Config, Step, step
+from .ast import Assign, Command, If, Par, Seq, Share, Skip, Unshare, While, command_fv, expr_fv
+from .semantics import ABORT, Config, State, Step, step
 
 Scheduler = Callable[[Config, Sequence[Step]], int]
 
@@ -82,23 +86,162 @@ def left_first(config: Config, steps: Sequence[Step]) -> int:
     return 0
 
 
+class StateBudgetExceeded(RuntimeError):
+    """The explorer reached more distinct configurations than its
+    ``max_states`` budget allows."""
+
+
+_DIVERGES = "execution exceeded max_steps"
+
+
 def enumerate_executions(
     initial: Config,
     max_steps: int = 10_000,
     max_executions: Optional[int] = None,
+    max_states: Optional[int] = None,
 ) -> Iterator[Config | str]:
-    """Depth-first enumeration of all terminating executions.
+    """Every distinct reachable final configuration, each yielded once.
 
-    Yields each reachable final :class:`Config` (one per interleaving; the
-    same final state may be yielded multiple times) or the string
-    ``"abort"``.  Raises RuntimeError if an execution exceeds ``max_steps``.
+    A depth-first search over configurations with an exact visited set.
+    Yields each reachable final :class:`Config` once, and the string
+    ``"abort"`` once if an abort is reachable; stops after
+    ``max_executions`` items.  Deadlocked configurations yield nothing.
+
+    Partial-order reduction: when some thread's next step is thread-local
+    and invisible (see :func:`_local_successor`), that step alone is
+    explored.  It commutes with every step the other threads can still
+    take, so the reachable final states and the reachability of abort are
+    those of the full interleaving graph (:func:`enumerate_paths`).
+
+    Raises RuntimeError when an execution re-enters a configuration on its
+    own path or runs deeper than ``max_steps`` (divergence is never
+    silently dropped), and :class:`StateBudgetExceeded` when more than
+    ``max_states`` distinct configurations are reached.
+    """
+    if initial.is_final():
+        yield initial
+        return
+    fvs: dict = {}  # command -> command_fv, for this enumeration only
+    visited = {initial: True}  # configuration -> on the current DFS path
+    stack = [(initial, _successors(initial, fvs))]
+    yielded = 0
+    aborted = False
+    while stack:
+        config, pending = stack[-1]
+        if not pending:
+            stack.pop()
+            visited[config] = False
+            continue
+        successor = pending.pop()
+        if successor is ABORT:
+            if aborted:
+                continue
+            aborted = True
+        else:
+            on_path = visited.get(successor)
+            if on_path is not None:
+                if on_path:
+                    raise RuntimeError(
+                        f"{_DIVERGES}: it re-enters a configuration on its own path (divergence)"
+                    )
+                continue
+            if max_states is not None and len(visited) >= max_states:
+                raise StateBudgetExceeded(f"more than {max_states} reachable states")
+            final = successor.is_final()
+            visited[successor] = not final
+            if not final:
+                if len(stack) > max_steps:
+                    raise RuntimeError(f"{_DIVERGES} (possible divergence)")
+                stack.append((successor, _successors(successor, fvs)))
+                continue
+        yield successor
+        yielded += 1
+        if max_executions is not None and yielded >= max_executions:
+            return
+
+
+def _successors(config: Config, fvs: dict) -> list:
+    """Successor configurations (or ABORT) in reverse scheduling order,
+    reduced to a singleton when a thread-local invisible step is enabled."""
+    local = _local_successor(config.command, config.state, (), fvs)
+    if local is not None:
+        return [local]
+    return [successor.result for successor in reversed(step(config))]
+
+
+def _local_successor(
+    cmd: Command, state: State, siblings: tuple, fvs: dict
+) -> Optional[Config]:
+    """The result of the first thread-local invisible step of ``cmd``.
+
+    ``siblings`` are the residual commands of the threads running in
+    parallel with ``cmd``.  A step is thread-local and invisible when it
+    touches neither the heap nor the output and no sibling can read or
+    write a variable it touches: ``skip;`` elimination, loop unfolding,
+    ``share``/``unshare``, the join of two finished threads, and an
+    assignment or conditional whose variables no sibling mentions.
+    """
+    if isinstance(cmd, Seq) and not isinstance(cmd.first, Skip):
+        sub = _local_successor(cmd.first, state, siblings, fvs)
+        return None if sub is None else Config(Seq(sub.command, cmd.second), sub.state)
+    if isinstance(cmd, Par) and not (isinstance(cmd.left, Skip) and isinstance(cmd.right, Skip)):
+        if not isinstance(cmd.left, Skip):
+            sub = _local_successor(cmd.left, state, siblings + (cmd.right,), fvs)
+            if sub is not None:
+                return Config(Par(sub.command, cmd.right), sub.state)
+        if not isinstance(cmd.right, Skip):
+            sub = _local_successor(cmd.right, state, siblings + (cmd.left,), fvs)
+            if sub is not None:
+                return Config(Par(cmd.left, sub.command), sub.state)
+        return None
+    if isinstance(cmd, Assign):
+        touched = expr_fv(cmd.expr) | {cmd.target}
+    elif isinstance(cmd, If):
+        touched = expr_fv(cmd.condition)
+    elif isinstance(cmd, (Seq, Par, While, Share, Unshare)):
+        touched = frozenset()
+    else:
+        return None
+    if touched and any(not touched.isdisjoint(_fv(sibling, fvs)) for sibling in siblings):
+        return None
+    (only,) = step(Config(cmd, state))
+    return only.result
+
+
+def _fv(cmd: Command, fvs: dict) -> frozenset:
+    """``command_fv`` memoized per node in ``fvs`` (residual commands
+    share their subtrees, so each new configuration adds only a spine)."""
+    result = fvs.get(cmd)
+    if result is None:
+        if isinstance(cmd, Seq):
+            result = _fv(cmd.first, fvs) | _fv(cmd.second, fvs)
+        elif isinstance(cmd, Par):
+            result = _fv(cmd.left, fvs) | _fv(cmd.right, fvs)
+        else:
+            result = command_fv(cmd)
+        fvs[cmd] = result
+    return result
+
+
+def enumerate_paths(
+    initial: Config,
+    max_steps: int = 10_000,
+    max_executions: Optional[int] = None,
+) -> Iterator[Config | str]:
+    """Reference oracle: depth-first enumeration of every execution path.
+
+    Yields the final :class:`Config` (or ``"abort"``) of each interleaving
+    separately — the same final state once per path that reaches it —
+    with no state deduplication or reduction.  Raises RuntimeError if an
+    execution exceeds ``max_steps``.  Tests compare
+    :func:`enumerate_executions` against it.
     """
     yielded = 0
     stack: list[tuple[Config, int]] = [(initial, 0)]
     while stack:
         config, depth = stack.pop()
         if depth > max_steps:
-            raise RuntimeError("execution exceeded max_steps (possible divergence)")
+            raise RuntimeError(f"{_DIVERGES} (possible divergence)")
         if config.is_final():
             yield config
             yielded += 1

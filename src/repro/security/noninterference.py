@@ -4,9 +4,12 @@ The property: for any two terminating executions — under *any* schedules —
 whose low inputs agree, the low outputs agree.  This module checks it two
 ways:
 
-* :func:`check_exhaustive` — enumerate **all** interleavings of a (small)
-  instance for each high-input variant and compare the full set of
-  reachable low outputs.  Sound and complete for the instance.
+* :func:`check_exhaustive` — explore **every** reachable final state of a
+  (small) instance for each high-input variant
+  (:func:`~repro.lang.scheduler.enumerate_executions`, a state-space
+  search with commutativity-based partial-order reduction) and compare
+  the full set of reachable low outputs.  Sound and complete for the
+  instance.
 * :func:`check_sampled` — run many seeded-random and round-robin schedules
   across high-input variants; a difference in low outputs is a genuine
   counterexample (a *witness* of a value channel), agreement is evidence.
@@ -78,6 +81,13 @@ class Witness:
 
 @dataclass(frozen=True)
 class NIReport:
+    """Outcome of a Def. 2.1 check.
+
+    ``executions_checked`` counts, summed over the input variants checked:
+    in exhaustive mode, the distinct reachable final states (store, heap
+    and output) explored; in sampled mode, the scheduled runs.
+    """
+
     secure: bool
     witness: Optional[Witness]
     executions_checked: int
@@ -86,15 +96,20 @@ class NIReport:
         return self.secure
 
 
+def _final_states(program: Command, inputs: dict, max_steps: int) -> list:
+    """Every distinct final :class:`State` over all interleavings."""
+    initial = Config(program, State.make(dict(inputs)))
+    finals = []
+    for final in enumerate_executions(initial, max_steps=max_steps):
+        if final is ABORT:
+            raise RuntimeError(f"program aborts on inputs {inputs!r}")
+        finals.append(final.state)
+    return finals
+
+
 def all_outputs(program: Command, inputs: dict, max_steps: int = 200_000) -> frozenset:
     """The set of output traces over *all* interleavings (exhaustive)."""
-    outputs: set = set()
-    initial = Config(program, State.make(dict(inputs)))
-    for final in enumerate_executions(initial, max_steps=max_steps):
-        if final == ABORT:
-            raise RuntimeError(f"program aborts on inputs {inputs!r}")
-        outputs.add(final.state.output)
-    return frozenset(outputs)
+    return frozenset(state.output for state in _final_states(program, inputs, max_steps))
 
 
 def check_exhaustive(
@@ -114,11 +129,10 @@ def check_exhaustive(
     seen: dict[Observation, dict] = {}
     checked = 0
     for inputs in input_variants:
-        outputs = {observe(output) for output in all_outputs(program, inputs, max_steps)}
-        checked += len(outputs)
-        for output in outputs:
-            if output not in seen:
-                seen[output] = inputs
+        finals = _final_states(program, inputs, max_steps)
+        checked += len(finals)
+        for state in finals:
+            seen.setdefault(observe(state.output), inputs)
     if len(seen) <= 1:
         return NIReport(True, None, checked)
     traces = sorted(seen.items(), key=lambda item: repr(item[0]))

@@ -25,6 +25,7 @@ from repro.fuzz import (
     shrink_case,
     statement_count,
 )
+from repro.lang.parser import parse_program
 from repro.smt.session import SolverSession
 
 
@@ -136,3 +137,27 @@ def test_oracle_outcome_fields_are_coherent(session):
             assert outcome.verified_no_prepass is not None
         if outcome.witness is None:
             assert outcome.empirical_secure is not False
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["leaky", "secure"])
+def test_sampled_fallback_agrees_with_exhaustive(session, index):
+    """A budget of one explored state forces the random-schedule fallback;
+    it must reach the same empirical verdict as the exhaustive explorer
+    (case 0 of this seed leaks, case 1 is secure)."""
+    case = generate_case(20240808, index)
+    exhaustive = check_case(case, session=session)
+    sampled = check_case(case, session=session, exhaustive_budget=1)
+    assert exhaustive.empirical_mode == "exhaustive"
+    assert sampled.empirical_mode == "sampled"
+    assert sampled.empirical_secure == exhaustive.empirical_secure
+    assert exhaustive.empirical_secure is (index == 1)
+
+
+def test_divergent_program_is_a_runtime_error(session):
+    """The explorer's visited set must not swallow a loop that revisits
+    its own state: the oracle reports it, never calls it secure."""
+    case = generate_case(20240808, 1).with_program(parse_program("print(0)\nwhile (true) { skip }"))
+    outcome = check_case(case, session=session)
+    assert outcome.empirical_secure is None
+    assert "max_steps" in outcome.runtime_error
+    assert failure_kind(outcome) == "runtime-error"

@@ -3,8 +3,8 @@
 The differential oracle (:mod:`repro.fuzz.oracle`) trusts three scheduler
 behaviours without checking them per case: ``RandomScheduler`` is a pure
 function of its seed (sampled campaigns replay exactly),
-``enumerate_executions`` either yields *every* interleaving or raises
-(never silently truncates below the bound), and ``FixedScheduler``
+``enumerate_executions`` either yields *every* reachable final state or
+raises (never silently truncates below the bound), and ``FixedScheduler``
 tolerates recorded choice sequences that run out or index out of range
 (shrunk programs have fewer choice points than the original recording).
 These tests pin those behaviours down directly.
@@ -121,8 +121,7 @@ def test_random_scheduler_state_advances_within_one_run():
 
 def test_enumerate_executions_covers_all_interleavings():
     """3 independent prints → every one of the 3! output orders is
-    reached (execution paths can outnumber output orders: the nested
-    ``||`` joins are scheduled steps too)."""
+    reached, each as its own final state."""
     finals = list(enumerate_executions(Config(THREE_PRINTS, State.make({}))))
     assert len(finals) >= 6
     outputs = {f.state.output for f in finals}

@@ -9,6 +9,7 @@ from repro.lang.scheduler import (
     RandomScheduler,
     RoundRobinScheduler,
     enumerate_executions,
+    enumerate_paths,
     left_first,
 )
 from repro.lang.semantics import ABORT, Config, State
@@ -101,7 +102,7 @@ class TestEnumeration:
     def test_max_executions_bound(self):
         source = "{ a := 1; b := 2 } || { c := 3; d := 4 }"
         outcomes = list(
-            enumerate_executions(Config(parse_program(source), State.make()), max_executions=3)
+            enumerate_paths(Config(parse_program(source), State.make()), max_executions=3)
         )
         assert len(outcomes) == 3
 
@@ -109,5 +110,5 @@ class TestEnumeration:
         # Two independent 1-assignment threads: assignments interleave in
         # 2 orders; the join adds no variation.
         source = "{ a := 1 } || { b := 2 }"
-        outcomes = list(enumerate_executions(Config(parse_program(source), State.make())))
+        outcomes = list(enumerate_paths(Config(parse_program(source), State.make())))
         assert len(outcomes) == 2
