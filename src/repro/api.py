@@ -488,6 +488,11 @@ class Verdict:
     #: off or inapplicable.  Deliberately *not* part of ``observable()``:
     #: the fast path changes how a verdict is reached, never the verdict.
     prepass: Optional[str] = None
+    #: ``(pid, start, end)``: the daemon worker process that computed the
+    #: verdict and when, in epoch seconds (``time.time()``); ``None``
+    #: outside the daemon.  Not part of ``observable()`` either: it says
+    #: where and when a verdict was computed, never what it is.
+    worker: Optional[Tuple[int, float, float]] = None
 
     @property
     def ok(self) -> bool:
@@ -536,6 +541,8 @@ class Verdict:
             obj["from_cache"] = True
         if self.prepass is not None:
             obj["prepass"] = self.prepass
+        if self.worker is not None:
+            obj["worker"] = list(self.worker)
         return obj
 
     @classmethod
@@ -562,9 +569,17 @@ class Verdict:
                 model=dict(obj["model"]) if obj.get("model") is not None else None,
                 from_cache=bool(obj.get("from_cache", False)),
                 prepass=obj.get("prepass"),
+                worker=_worker_from_wire(obj.get("worker")),
             )
         except (KeyError, TypeError, ValueError) as error:
             raise RequestError(f"malformed verdict {obj!r}: {error}")
+
+
+def _worker_from_wire(value: Any) -> Optional[Tuple[int, float, float]]:
+    if value is None:
+        return None
+    pid, start, end = value
+    return int(pid), float(start), float(end)
 
 
 @dataclass(frozen=True)

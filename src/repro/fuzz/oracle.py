@@ -17,10 +17,20 @@ For each generated case the oracle derives three independent verdicts:
    case the verifier PROVED that empirically leaks is a *soundness
    failure* — the one verdict that must never occur.
 
-Observed leaks are additionally quantified with
-:func:`repro.security.leakage.mutual_information` /
-:func:`~repro.security.leakage.threshold_leak` so a failure report says
-not just *that* the case leaks but roughly how much.
+Observed leaks are additionally quantified so a failure report says not
+just *that* the case leaks but how much.  In exhaustive mode the bound
+comes for free from the exploration: ``leak_bits`` is log2 of the number
+of distinct sets of reachable observations among the witness group's
+variants, the possibilistic capacity of the channel on that group (one
+set, 0 bits: the secret does not change what can be observed).  Only on
+the sampled fallback is it estimated with
+:func:`repro.security.leakage.mutual_information`.  In both modes
+:func:`~repro.security.leakage.threshold_leak` checks whether
+round-robin scheduling alone distinguishes the witness's secrets.
+
+A variant with no terminating execution (every schedule deadlocks) is a
+runtime error, not a vacuous pass; see
+:mod:`repro.security.noninterference`.
 
 ``install_unsound_hook`` lets tests inject a deliberately unsound
 verdict (forcing ``verified`` for selected cases) to prove end to end
@@ -29,6 +39,7 @@ that the oracle catches it and the shrinker minimizes it.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
@@ -82,6 +93,11 @@ class OracleOutcome:
     #: (exhaustive) or scheduled runs (sampled).
     executions: int
     witness: Optional[Witness]
+    #: Size of an observed leak in bits (None without a leak).  In
+    #: exhaustive mode, log2 of the number of distinct per-variant sets
+    #: of reachable observations in the witness's instance group; in
+    #: sampled mode, the empirical mutual information along the
+    #: witness's differing high input (None when it has none).
     leak_bits: Optional[float]
     leak_threshold: Optional[bool]
     runtime_error: Optional[str]
@@ -104,37 +120,48 @@ def _exhaustive_within_budget(
     groups: Sequence[Sequence[dict]],
     budget: int,
     observe,
-) -> Optional[NIReport]:
-    """Exhaustive Def. 2.1 check, or ``None`` if some variant's reachable
-    state space exceeds ``budget`` explored configurations (a *completed*
-    exploration is required — a truncated one could miss outputs
-    asymmetrically across variants and fabricate witnesses).  Counts
-    executions as :class:`NIReport` does: distinct final states."""
+) -> Optional[tuple[NIReport, Optional[float]]]:
+    """Exhaustive Def. 2.1 check and the leak size in bits (``None``
+    when secure), or ``None`` if some variant's reachable state space
+    exceeds ``budget`` explored configurations (a *completed* exploration
+    is required — a truncated one could miss outputs asymmetrically
+    across variants and fabricate witnesses).  Counts executions as
+    :class:`NIReport` does: distinct final states.  Raises on an abort
+    and on a variant with no terminating execution."""
     total = 0
     for variants in groups:
         seen: dict = {}
+        per_variant = set()
         for inputs in variants:
             initial = Config(program, State.make(dict(inputs)))
+            observed = set()
             try:
                 for final in enumerate_executions(initial, max_steps=50_000, max_states=budget):
                     if final is ABORT:
                         raise AbortError(f"program aborts on inputs {inputs!r}")
                     total += 1
-                    seen.setdefault(observe(final.state.output), inputs)
+                    visible = observe(final.state.output)
+                    observed.add(visible)
+                    seen.setdefault(visible, inputs)
             except StateBudgetExceeded:
                 return None
+            if not observed:
+                raise RuntimeError(f"deadlock on inputs {inputs!r}: no execution terminates")
+            per_variant.add(frozenset(observed))
         if len(seen) > 1:
             ordered = sorted(seen.items(), key=lambda item: repr(item[0]))
             (out1, in1), (out2, in2) = ordered[0], ordered[1]
             witness = Witness(in1, in2, out1, out2, "exhaustive enumeration")
-            return NIReport(False, witness, total)
-    return NIReport(True, None, total)
+            return NIReport(False, witness, total), math.log2(len(per_variant))
+    return NIReport(True, None, total), None
 
 
 def _score_leak(
-    case: GeneratedCase, witness: Witness
+    case: GeneratedCase, witness: Witness, bits: Optional[float]
 ) -> tuple[Optional[float], Optional[bool]]:
-    """Quantify an observed leak along the witness's differing high input."""
+    """Quantify an observed leak along the witness's differing high
+    input: ``bits`` when the exploration already measured it, else the
+    sampled mutual information; plus the round-robin threshold test."""
     differing = [
         name
         for name in sorted(case.high_inputs)
@@ -142,18 +169,19 @@ def _score_leak(
     ]
     if not differing:
         # Same inputs, different schedules: a pure scheduler channel.
-        return None, None
+        return bits, None
     high_var = differing[0]
     fixed = {k: v for k, v in witness.inputs1.items() if k != high_var}
     values = [witness.inputs1[high_var], witness.inputs2[high_var]]
     try:
-        bits = mutual_information(
-            case.program, high_var, values, runs_per_value=24, seed=7, fixed_inputs=fixed
-        )
+        if bits is None:
+            bits = mutual_information(
+                case.program, high_var, values, runs_per_value=24, seed=7, fixed_inputs=fixed
+            )
         threshold = threshold_leak(case.program, high_var, values, fixed_inputs=fixed)
         return bits, threshold.distinguishes
     except Exception:
-        return None, None
+        return bits, None
 
 
 # -- the oracle --------------------------------------------------------------
@@ -205,20 +233,22 @@ def check_case(
     observe = channel_observer(None)
     groups = case.instances()
     try:
-        report = _exhaustive_within_budget(case.program, groups, exhaustive_budget, observe)
-        if report is not None:
+        explored = _exhaustive_within_budget(case.program, groups, exhaustive_budget, observe)
+        if explored is not None:
             empirical_mode = "exhaustive"
+            report, bits = explored
         else:
             empirical_mode = "sampled"
             report = check_noninterference(
                 case.program, groups, exhaustive=False, schedules=schedules,
                 seed=seed, observe=observe,
             )
+            bits = None
         empirical_secure = report.secure
         executions = report.executions_checked
         witness = report.witness
         if witness is not None:
-            leak_bits, leak_threshold = _score_leak(case, witness)
+            leak_bits, leak_threshold = _score_leak(case, witness, bits)
     except Exception as error:  # aborts, deadlocks, ill-typed pure calls
         runtime_error = f"{type(error).__name__}: {error}"
 

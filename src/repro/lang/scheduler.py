@@ -24,7 +24,20 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterator, Optional, Sequence
 
-from .ast import Assign, Command, If, Par, Seq, Share, Skip, Unshare, While, command_fv, expr_fv
+from .ast import (
+    Assign,
+    Command,
+    If,
+    Par,
+    Seq,
+    Share,
+    Skip,
+    Unshare,
+    While,
+    command_fv,
+    command_mod,
+    expr_fv,
+)
 from .semantics import ABORT, Config, State, Step, step
 
 Scheduler = Callable[[Config, Sequence[Step]], int]
@@ -113,6 +126,11 @@ def enumerate_executions(
     take, so the reachable final states and the reachability of abort are
     those of the full interleaving graph (:func:`enumerate_paths`).
 
+    The visited set is hash-consed (see :class:`_Interner`): equal
+    residual commands, store entries, stores and heaps share one
+    instance, so a visited configuration costs little more than its own
+    one or two objects.  Keys stay full configurations, compared exactly.
+
     Raises RuntimeError when an execution re-enters a configuration on its
     own path or runs deeper than ``max_steps`` (divergence is never
     silently dropped), and :class:`StateBudgetExceeded` when more than
@@ -122,8 +140,11 @@ def enumerate_executions(
         yield initial
         return
     fvs: dict = {}  # command -> command_fv, for this enumeration only
+    mods: dict = {}  # command -> command_mod, likewise
+    canonical = _Interner()
+    initial = canonical.config(initial)
     visited = {initial: True}  # configuration -> on the current DFS path
-    stack = [(initial, _successors(initial, fvs))]
+    stack = [(initial, _successors(initial, fvs, mods))]
     yielded = 0
     aborted = False
     while stack:
@@ -147,12 +168,13 @@ def enumerate_executions(
                 continue
             if max_states is not None and len(visited) >= max_states:
                 raise StateBudgetExceeded(f"more than {max_states} reachable states")
+            successor = canonical.config(successor)
             final = successor.is_final()
             visited[successor] = not final
             if not final:
                 if len(stack) > max_steps:
                     raise RuntimeError(f"{_DIVERGES} (possible divergence)")
-                stack.append((successor, _successors(successor, fvs)))
+                stack.append((successor, _successors(successor, fvs, mods)))
                 continue
         yield successor
         yielded += 1
@@ -160,66 +182,108 @@ def enumerate_executions(
             return
 
 
-def _successors(config: Config, fvs: dict) -> list:
+class _Interner:
+    """One shared instance per distinct residual command, store entry,
+    store and heap, for one enumeration.
+
+    Successor configurations are built afresh by :func:`step`; without
+    sharing, each visited configuration would keep its own copy of the
+    residual command's spine, of every ``(name, value)`` pair and of the
+    heap."""
+
+    __slots__ = ("commands", "pairs", "stores", "heaps")
+
+    def __init__(self) -> None:
+        self.commands: dict = {}
+        self.pairs: dict = {}
+        self.stores: dict = {}
+        self.heaps: dict = {}
+
+    def config(self, config: Config) -> Config:
+        """An equal configuration built from the shared instances."""
+        state = config.state
+        store = self.stores.get(state.store)
+        if store is None:
+            pairs = self.pairs
+            store = tuple([pairs.setdefault(pair, pair) for pair in state.store])
+            self.stores[store] = store
+        command = self.commands.setdefault(config.command, config.command)
+        heap = self.heaps.setdefault(state.heap, state.heap)
+        if store is not state.store or heap is not state.heap:
+            state = State(store, heap, state.output, state.next_location)
+        elif command is config.command:
+            return config
+        return Config(command, state)
+
+
+def _successors(config: Config, fvs: dict, mods: dict) -> list:
     """Successor configurations (or ABORT) in reverse scheduling order,
     reduced to a singleton when a thread-local invisible step is enabled."""
-    local = _local_successor(config.command, config.state, (), fvs)
+    local = _local_successor(config.command, config.state, (), fvs, mods)
     if local is not None:
         return [local]
     return [successor.result for successor in reversed(step(config))]
 
 
 def _local_successor(
-    cmd: Command, state: State, siblings: tuple, fvs: dict
+    cmd: Command, state: State, siblings: tuple, fvs: dict, mods: dict
 ) -> Optional[Config]:
     """The result of the first thread-local invisible step of ``cmd``.
 
     ``siblings`` are the residual commands of the threads running in
     parallel with ``cmd``.  A step is thread-local and invisible when it
-    touches neither the heap nor the output and no sibling can read or
-    write a variable it touches: ``skip;`` elimination, loop unfolding,
+    touches neither the heap nor the output and commutes with every step
+    a sibling can still take: ``skip;`` elimination, loop unfolding,
     ``share``/``unshare``, the join of two finished threads, and an
-    assignment or conditional whose variables no sibling mentions.
+    assignment or conditional whose reads no sibling may write and whose
+    write no sibling mentions.  Two reads of the same variable commute,
+    so a loop bound shared read-only by every thread keeps each loop test
+    local.
     """
     if isinstance(cmd, Seq) and not isinstance(cmd.first, Skip):
-        sub = _local_successor(cmd.first, state, siblings, fvs)
+        sub = _local_successor(cmd.first, state, siblings, fvs, mods)
         return None if sub is None else Config(Seq(sub.command, cmd.second), sub.state)
     if isinstance(cmd, Par) and not (isinstance(cmd.left, Skip) and isinstance(cmd.right, Skip)):
         if not isinstance(cmd.left, Skip):
-            sub = _local_successor(cmd.left, state, siblings + (cmd.right,), fvs)
+            sub = _local_successor(cmd.left, state, siblings + (cmd.right,), fvs, mods)
             if sub is not None:
                 return Config(Par(sub.command, cmd.right), sub.state)
         if not isinstance(cmd.right, Skip):
-            sub = _local_successor(cmd.right, state, siblings + (cmd.left,), fvs)
+            sub = _local_successor(cmd.right, state, siblings + (cmd.left,), fvs, mods)
             if sub is not None:
                 return Config(Par(cmd.left, sub.command), sub.state)
         return None
     if isinstance(cmd, Assign):
-        touched = expr_fv(cmd.expr) | {cmd.target}
+        reads, write = expr_fv(cmd.expr), cmd.target
     elif isinstance(cmd, If):
-        touched = expr_fv(cmd.condition)
+        reads, write = expr_fv(cmd.condition), None
     elif isinstance(cmd, (Seq, Par, While, Share, Unshare)):
-        touched = frozenset()
+        reads, write = frozenset(), None
     else:
         return None
-    if touched and any(not touched.isdisjoint(_fv(sibling, fvs)) for sibling in siblings):
-        return None
+    for sibling in siblings:
+        if reads and not reads.isdisjoint(_summary(sibling, mods, command_mod)):
+            return None
+        if write is not None and write in _summary(sibling, fvs, command_fv):
+            return None
     (only,) = step(Config(cmd, state))
     return only.result
 
 
-def _fv(cmd: Command, fvs: dict) -> frozenset:
-    """``command_fv`` memoized per node in ``fvs`` (residual commands
-    share their subtrees, so each new configuration adds only a spine)."""
-    result = fvs.get(cmd)
+def _summary(cmd: Command, cache: dict, base: Callable[[Command], frozenset]) -> frozenset:
+    """``base(cmd)`` (``command_fv`` or ``command_mod``) memoized per
+    node in ``cache``, unioned over ``Seq``/``Par`` children (residual
+    commands share their subtrees, so each new configuration adds only
+    a spine)."""
+    result = cache.get(cmd)
     if result is None:
         if isinstance(cmd, Seq):
-            result = _fv(cmd.first, fvs) | _fv(cmd.second, fvs)
+            result = _summary(cmd.first, cache, base) | _summary(cmd.second, cache, base)
         elif isinstance(cmd, Par):
-            result = _fv(cmd.left, fvs) | _fv(cmd.right, fvs)
+            result = _summary(cmd.left, cache, base) | _summary(cmd.right, cache, base)
         else:
-            result = command_fv(cmd)
-        fvs[cmd] = result
+            result = base(cmd)
+        cache[cmd] = result
     return result
 
 

@@ -131,7 +131,7 @@ def _eval_binop(expr: BinOp, store: Store_, heap: Heap_ | None = None) -> Any:
     raise EvaluationError(f"unknown binary operator {op!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class State:
     """A machine state: store, heap, output trace, allocation counter.
 
@@ -181,9 +181,12 @@ class State:
         return self.store_dict().get(name, DEFAULT_VALUE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Config:
-    """A non-aborted configuration ``⟨c, (s, h)⟩``."""
+    """A non-aborted configuration ``⟨c, (s, h)⟩``.
+
+    ``Config`` and :class:`State` use slots: the state-space explorer
+    keeps one of each per visited configuration."""
 
     command: Command
     state: State

@@ -9,15 +9,25 @@ ways:
   (:func:`~repro.lang.scheduler.enumerate_executions`, a state-space
   search with commutativity-based partial-order reduction) and compare
   the full set of reachable low outputs.  Sound and complete for the
-  instance.
+  instance.  ``max_states`` bounds each variant's exploration; over it,
+  :class:`~repro.lang.scheduler.StateBudgetExceeded` is raised.
 * :func:`check_sampled` — run many seeded-random and round-robin schedules
   across high-input variants; a difference in low outputs is a genuine
   counterexample (a *witness* of a value channel), agreement is evidence.
 
+Only terminating executions count (Def. 2.1): a variant in which some
+schedules deadlock (every thread blocked on an ``atomic ... when`` guard)
+and others terminate is judged on the ones that terminate.  A variant
+with *no* terminating execution and no abort has nothing to compare, so
+the exhaustive check raises ``RuntimeError`` for it, as
+:func:`~repro.lang.interpreter.run` does on a deadlock — it never passes
+vacuously.
+
 The verifier's frontend uses these as the retroactive discharge mechanism
-for obligations (Sec. 2.5's "check when unsharing"), and the test suite
-uses them as the executable counterpart of the Isabelle soundness theorem:
-whatever the verifier accepts must pass these checks.
+for obligations (Sec. 2.5's "check when unsharing"): exhaustively within
+a state budget, sampled beyond it.  The test suite uses them as the
+executable counterpart of the Isabelle soundness theorem: whatever the
+verifier accepts must pass these checks.
 """
 
 from __future__ import annotations
@@ -96,14 +106,24 @@ class NIReport:
         return self.secure
 
 
-def _final_states(program: Command, inputs: dict, max_steps: int) -> list:
-    """Every distinct final :class:`State` over all interleavings."""
+def _final_states(
+    program: Command, inputs: dict, max_steps: int, max_states: Optional[int] = None
+) -> list:
+    """Every distinct final :class:`State` over all interleavings.
+
+    Raises RuntimeError when an abort is reachable or when no execution
+    terminates (a total deadlock)."""
     initial = Config(program, State.make(dict(inputs)))
     finals = []
-    for final in enumerate_executions(initial, max_steps=max_steps):
+    for final in enumerate_executions(initial, max_steps=max_steps, max_states=max_states):
         if final is ABORT:
             raise RuntimeError(f"program aborts on inputs {inputs!r}")
         finals.append(final.state)
+    if not finals:
+        raise RuntimeError(
+            f"deadlock on inputs {inputs!r}: no execution terminates, "
+            f"all threads end blocked on atomic guards"
+        )
     return finals
 
 
@@ -117,6 +137,7 @@ def check_exhaustive(
     input_variants: Sequence[dict],
     max_steps: int = 200_000,
     observe: Optional[ObserveFn] = None,
+    max_states: Optional[int] = None,
 ) -> NIReport:
     """Exhaustive Def. 2.1 check over input variants with equal low parts.
 
@@ -124,12 +145,14 @@ def check_exhaustive(
     differing in high inputs.  Secure iff the union of all reachable
     outputs across all variants is a single trace.  ``observe`` projects
     traces to the attacker-visible part (default: everything).
+    ``max_states`` bounds each variant's exploration
+    (:class:`~repro.lang.scheduler.StateBudgetExceeded` beyond it).
     """
     observe = observe or (lambda trace: trace)
     seen: dict[Observation, dict] = {}
     checked = 0
     for inputs in input_variants:
-        finals = _final_states(program, inputs, max_steps)
+        finals = _final_states(program, inputs, max_steps, max_states)
         checked += len(finals)
         for state in finals:
             seen.setdefault(observe(state.output), inputs)
@@ -182,13 +205,15 @@ def check_noninterference(
     schedules: int = 25,
     seed: int = 0,
     observe: Optional[ObserveFn] = None,
+    max_states: Optional[int] = None,
 ) -> NIReport:
     """Check several instances (each a list of input variants with equal
-    low inputs); secure iff every instance is secure."""
+    low inputs); secure iff every instance is secure.  ``max_states``
+    bounds each exhaustive enumeration (ignored when sampling)."""
     total = 0
     for variants in instances:
         if exhaustive:
-            report = check_exhaustive(program, variants, observe=observe)
+            report = check_exhaustive(program, variants, observe=observe, max_states=max_states)
         else:
             report = check_sampled(program, variants, schedules=schedules, seed=seed, observe=observe)
         total += report.executions_checked

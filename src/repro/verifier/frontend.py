@@ -13,6 +13,9 @@
    constraints) are discharged with the bounded relational checker of
    :mod:`repro.security.noninterference` on caller-supplied instances —
    the executable counterpart of the paper's check-at-unshare mechanism.
+   Every reachable final state of each instance is explored when its
+   reduced state space fits :data:`STAGE4_STATE_BUDGET`; sampled
+   schedules decide only beyond it.
 
 The verdict is ``verified`` only when every stage passes; every failure
 carries a human-readable reason, and counterexamples are concrete.
@@ -26,7 +29,8 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 if TYPE_CHECKING:  # imported lazily at run time: repro.analysis imports us
     from ..analysis.prepass import PrepassReport
 
-from ..security.noninterference import NIReport, check_noninterference
+from ..lang.scheduler import StateBudgetExceeded
+from ..security.noninterference import NIReport, channel_observer, check_noninterference
 from ..smt.session import SolverSession
 from ..spec.validity import ValidityReport, check_validity_batch
 from .analysis import Obligation, TaintAnalyzer
@@ -34,6 +38,11 @@ from .conformance import ConformanceReport, check_conformance
 from .declarations import ProgramSpec
 
 InstanceGenerator = Callable[[], Sequence[Sequence[dict]]]
+
+#: Explored configurations allowed per enumeration when stage 4 runs
+#: exhaustively by default (2.2x the largest corpus enumeration); over
+#: it, stage 4 falls back to sampled schedules.
+STAGE4_STATE_BUDGET = 20_000
 
 #: One shared solver session per *worker process* for parallel
 #: conformance discharge: obligations shipped to the same worker reuse
@@ -163,6 +172,15 @@ def verify(
     verification daemon (:mod:`repro.server`) carries learned clauses
     and Tseitin definitions from one batch to the next; it implies
     ``use_session`` and suppresses the per-run session.
+
+    Stage 4 discharges retroactive obligations on ``bounded_instances``
+    by exploring every reachable final state of each input variant with
+    the partial-order-reduced explorer, within
+    :data:`STAGE4_STATE_BUDGET` configurations per enumeration; if one
+    exceeds it, the whole check is rerun on sampled schedules.  Each
+    obligation's ``method`` names the mode that decided.
+    ``exhaustive_discharge=True`` demands the exhaustive check with no
+    budget and no fallback.
 
     ``static_prepass`` (default on) runs the sound static pre-verification
     of :mod:`repro.analysis` after stage 2: when the lockset race detector
@@ -308,20 +326,16 @@ def verify(
                 f"supplied to discharge them"
             )
         else:
-            from ..security.noninterference import channel_observer
-
-            ni_report = check_noninterference(
+            ni_report, method = _check_stage4(
                 program_spec.program,
-                bounded_instances(),
-                exhaustive=exhaustive_discharge,
-                observe=channel_observer(program_spec.low_channels),
+                list(bounded_instances()),
+                channel_observer(program_spec.low_channels),
+                exhaustive_discharge,
             )
             if ni_report.secure:
                 for obligation in obligations:
                     obligation.discharged = True
-                    obligation.method = (
-                        "exhaustive interleaving check" if exhaustive_discharge else "sampled schedules"
-                    )
+                    obligation.method = method
             else:
                 errors.append(
                     f"retroactive obligations refuted by bounded checking: {ni_report.witness}"
@@ -339,3 +353,18 @@ def verify(
         symbolic_conformance=tuple(symbolic_conformance),
         prepass=prepass_report,
     )
+
+
+def _check_stage4(program, instances, observe, exhaustive_only: bool) -> tuple:
+    """Stage 4's report and the mode that decided it: exhaustive within
+    :data:`STAGE4_STATE_BUDGET` (unbounded when ``exhaustive_only``),
+    sampled schedules when the budget is exceeded."""
+    budget = None if exhaustive_only else STAGE4_STATE_BUDGET
+    try:
+        report = check_noninterference(
+            program, instances, exhaustive=True, observe=observe, max_states=budget
+        )
+        return report, "exhaustive interleaving check"
+    except StateBudgetExceeded:
+        report = check_noninterference(program, instances, exhaustive=False, observe=observe)
+        return report, "sampled schedules"

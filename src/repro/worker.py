@@ -107,11 +107,14 @@ def _run_one(message: Mapping[str, Any], pool, cache) -> Dict[str, Any]:
             factory = lambda: SolverSession(max_models=int(max_models))  # noqa: E731
         with using_cache(cache), cache.namespaced(namespace):
             session = pool.acquire(tenant, factory=factory)
+            start = time.time()
             try:
                 verdict = api.execute(request, session=session, sorts=sorts)
             finally:
                 pool.release(tenant)
-        return {"kind": REPLY_VERDICT, "verdict": verdict.to_wire()}
+        wire = verdict.to_wire()
+        wire["worker"] = [os.getpid(), start, time.time()]  # Verdict.worker
+        return {"kind": REPLY_VERDICT, "verdict": wire}
     except api.RequestError as error:
         return {"kind": REPLY_ERROR, "reason": str(error)}
     except Exception as error:  # noqa: BLE001 — a bad VC must not kill the worker

@@ -9,6 +9,7 @@ working, a *real* soundness bug could sail through a fuzz run unnoticed.
 """
 
 import json
+import math
 
 import pytest
 
@@ -25,7 +26,10 @@ from repro.fuzz import (
     shrink_case,
     statement_count,
 )
+from repro.fuzz import oracle
 from repro.lang.parser import parse_program
+from repro.security import all_outputs
+from repro.security.noninterference import channel_observer
 from repro.smt.session import SolverSession
 
 
@@ -161,3 +165,39 @@ def test_divergent_program_is_a_runtime_error(session):
     assert outcome.empirical_secure is None
     assert "max_steps" in outcome.runtime_error
     assert failure_kind(outcome) == "runtime-error"
+
+
+def test_deadlocked_variant_is_a_runtime_error_not_a_pass(session):
+    """A variant with no terminating execution has nothing to compare:
+    the exhaustive leg raises, as a deadlocked ``run`` does."""
+    program = parse_program("x := 0\nprint(h)\n{ atomic when (x == 1) { y := 1 } } || { skip }")
+    with pytest.raises(RuntimeError, match="deadlock"):
+        oracle._exhaustive_within_budget(
+            program, [[{"h": 0}, {"h": 1}]], 2000, channel_observer(None)
+        )
+    outcome = check_case(generate_case(20240808, 1).with_program(program), session=session)
+    assert outcome.empirical_secure is None
+    assert "deadlock" in outcome.runtime_error
+    assert failure_kind(outcome) == "runtime-error"
+
+
+def test_exhaustive_leak_bits_come_from_the_explored_sets(session, monkeypatch):
+    """In exhaustive mode the leak is sized from the exploration itself
+    (log2 of the distinct per-variant observation sets in the witness's
+    group); the sampled mutual-information estimate is never run."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("mutual_information ran in exhaustive mode")
+
+    monkeypatch.setattr(oracle, "mutual_information", forbidden)
+    case = generate_case(20240808, 0)
+    outcome = check_case(case, session=session)
+    assert outcome.empirical_mode == "exhaustive" and outcome.empirical_secure is False
+    observe = channel_observer(None)
+    group = next(
+        variants
+        for variants in case.instances()
+        if not oracle._exhaustive_within_budget(case.program, [variants], 2000, observe)[0].secure
+    )
+    per_variant = {frozenset(all_outputs(case.program, inputs)) for inputs in group}
+    assert outcome.leak_bits == math.log2(len(per_variant))

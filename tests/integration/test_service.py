@@ -213,11 +213,13 @@ def test_concurrent_tenants_are_isolated_and_agree(daemon):
     reason="one CPU core: two CPU-bound workers cannot overlap in wall time",
 )
 def test_two_tenant_batches_overlap_in_wall_time():
-    """With --workers 2, two simultaneous single-tenant batches finish in
-    ~1x (not ~2x) the solo wall time — they solve in separate processes.
-    (``test_service_faults.py`` proves scheduling-level overlap on any
-    host via sleep faults; this pins the CPU-level claim where the
-    hardware can express it.)"""
+    """With --workers 2, two simultaneous single-tenant batches solve in
+    separate worker processes at the same time.  Each verdict carries the
+    pid and busy interval of the worker that computed it; some request of
+    each tenant must have been computed in a different process while the
+    other tenant's request was being computed.  (``test_service_faults.py``
+    proves scheduling-level overlap on any host via sleep faults; this
+    pins the CPU-level claim where the hardware can express it.)"""
     tmp = tempfile.mkdtemp(prefix="repro-conc-")
     socket_path = os.path.join(tmp, "c.sock")
     server = VerificationServer(socket_path=socket_path, workers=2, timeout=120.0)
@@ -227,31 +229,31 @@ def test_two_tenant_batches_overlap_in_wall_time():
 
         def run_one(tenant, results):
             with ServiceClient(socket_path=socket_path) as client:
-                start = time.perf_counter()
-                outcome = client.run_batch(requests, tenant=tenant)
-                results[tenant] = (time.perf_counter() - start, outcome)
-
-        solo = {}
-        run_one("solo", solo)
-        solo_wall, solo_outcome = solo["solo"]
-        assert solo_outcome.complete
+                results[tenant] = client.run_batch(requests, tenant=tenant)
 
         results = {}
         threads = [
             threading.Thread(target=run_one, args=(tenant, results))
             for tenant in ("left", "right")
         ]
-        start = time.perf_counter()
         for worker in threads:
             worker.start()
         for worker in threads:
             worker.join(timeout=300)
-        wall = time.perf_counter() - start
+        intervals = {}
         for tenant in ("left", "right"):
-            _, outcome = results[tenant]
+            outcome = results[tenant]
             assert outcome.complete and outcome.ok
-        # generous margin: ~1x with room for IPC overhead, far from ~2x
-        assert wall <= solo_wall * 1.6, (solo_wall, wall)
+            intervals[tenant] = [verdict.worker for verdict in outcome.verdicts.values()]
+            assert all(interval is not None for interval in intervals[tenant])
+        left_pids = {pid for pid, _, _ in intervals["left"]}
+        right_pids = {pid for pid, _, _ in intervals["right"]}
+        assert left_pids.isdisjoint(right_pids), (left_pids, right_pids)
+        assert any(
+            left_start < right_end and right_start < left_end
+            for _, left_start, left_end in intervals["left"]
+            for _, right_start, right_end in intervals["right"]
+        ), intervals
     finally:
         stop_daemon(socket_path, thread)
         shutil.rmtree(tmp, ignore_errors=True)

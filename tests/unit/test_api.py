@@ -176,6 +176,7 @@ def test_verdict_round_trip():
         solver_verdict=None,
         model=None,
         from_cache=True,
+        worker=(4242, 100.5, 101.75),
     )
     rebuilt = api.Verdict.from_wire(verdict.to_wire())
     assert rebuilt == verdict
@@ -185,7 +186,9 @@ def test_verdict_round_trip():
 
 def test_verdict_observable_ignores_timing():
     a = api.Verdict(name="x", verified=True, elapsed=0.1)
-    b = api.Verdict(name="x", verified=True, elapsed=9.9, from_cache=True)
+    b = api.Verdict(
+        name="x", verified=True, elapsed=9.9, from_cache=True, worker=(7, 1.0, 2.0)
+    )
     assert a.observable() == b.observable()
 
 

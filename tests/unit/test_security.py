@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.lang.interpreter import run
 from repro.lang.parser import parse_program
+from repro.lang.scheduler import FixedScheduler
 from repro.security import (
     all_outputs,
     check_exhaustive,
@@ -61,6 +63,33 @@ class TestExhaustive:
         # even with one input, schedule-dependent output is a violation
         report = check_exhaustive(RACY, [{"h": 1}])
         assert not report.secure
+
+
+# Every schedule deadlocks: the guard waits for an x that is never 1.
+DEADLOCKED = parse_program(
+    "x := 0\nprint(h)\n{ atomic when (x == 1) { y := 1 } } || { skip }"
+)
+
+# Some schedules deadlock (x := 1 runs before the guarded block), others
+# finish.
+PARTIAL_DEADLOCK = parse_program(
+    "x := 0\nprint(1)\n{ atomic when (x == 0) { y := 1 } } || { x := 1 }"
+)
+
+
+class TestDeadlock:
+    def test_no_terminating_execution_raises_instead_of_passing(self):
+        with pytest.raises(RuntimeError, match="deadlock"):
+            check_exhaustive(DEADLOCKED, [{"h": 0}, {"h": 1}])
+        with pytest.raises(RuntimeError, match="deadlock"):
+            check_sampled(DEADLOCKED, [{"h": 0}, {"h": 1}])
+
+    def test_partial_deadlock_judges_the_terminating_executions(self):
+        with pytest.raises(RuntimeError, match="deadlock"):
+            run(PARTIAL_DEADLOCK, {"h": 0}, scheduler=FixedScheduler([1] * 8))
+        report = check_exhaustive(PARTIAL_DEADLOCK, [{"h": 0}, {"h": 1}])
+        assert report.secure
+        assert report.executions_checked == 2
 
 
 class TestSampled:
