@@ -85,7 +85,6 @@ from repro.smt import (  # noqa: E402
     clear_all_caches,
     conj,
     disj,
-    dpllt_equality,
     eq,
     implies,
     negate,
@@ -428,6 +427,14 @@ def bench_repeated_vc(quick: bool):
     return cases
 
 
+def session_dpllt(formula):
+    """DPLL(T) on ``formula`` through a fresh SolverSession: its
+    satisfiability (None when undecided) and the session's counters."""
+    session = SolverSession()
+    valid = session.theory_valid(negate(formula))
+    return (None if valid is None else not valid), session.stats()
+
+
 def bench_dpllt_incremental(quick: bool):
     sizes = (5,) if quick else (6, 7)
     cases = []
@@ -436,7 +443,7 @@ def bench_dpllt_incremental(quick: bool):
         ref_elapsed, ref_result = timed(reference.dpllt_equality_reference, formula)
         clear_all_caches()
         formula = blocked_model_formula(chains, salt=f"ref{chains}_")
-        new_elapsed, new_result = timed(dpllt_equality, formula)
+        new_elapsed, (new_satisfiable, new_stats) = timed(session_dpllt, formula)
         cases.append(
             {
                 "chains": chains,
@@ -444,9 +451,9 @@ def bench_dpllt_incremental(quick: bool):
                 "optimized_s": round(new_elapsed, 6),
                 "speedup": round(ref_elapsed / new_elapsed, 2) if new_elapsed else None,
                 "reference_blocked": ref_result.models_blocked,
-                "optimized_blocked": new_result.models_blocked,
-                "theory_propagations": new_result.theory_propagations,
-                "verdicts_agree": ref_result.satisfiable == new_result.satisfiable,
+                "optimized_blocked": new_stats["models_blocked"],
+                "theory_propagations": new_stats["theory_propagations"],
+                "verdicts_agree": ref_result.satisfiable == new_satisfiable,
             }
         )
     return cases
@@ -510,9 +517,9 @@ def bench_difference_logic(quick: bool):
         # The pure-DL refutation of the negated formula must never fall
         # back to model blocking (a None verdict — budget exhaustion —
         # counts as disagreement rather than crashing the run).
-        theory = dpllt_equality(negate(build(size, f"blk{salt}")))
-        blocked = theory.models_blocked if theory is not None else None
-        refuted = theory is not None and not theory.satisfiable
+        satisfiable, stats = session_dpllt(negate(build(size, f"blk{salt}")))
+        blocked = stats["models_blocked"] if satisfiable is not None else None
+        refuted = satisfiable is False
         agree = (
             new_result.is_valid() == ref_result.is_valid()
             and blocked == 0

@@ -23,8 +23,8 @@ The three layers:
   process (optionally on a caller-owned warm
   :class:`~repro.smt.session.SolverSession`), and :func:`open_cache`
   scopes an *explicit* persistent-cache handle: the cache is constructed
-  and passed through this facade rather than reached through the
-  deprecated ``repro.smt.cache.GLOBAL`` singleton.
+  and passed through this facade rather than reached through a
+  process-global singleton.
 
 The engine entry points (``repro.verifier.frontend.verify``,
 ``verify_threaded``, ``CaseStudy.verify``) remain supported — this
@@ -840,8 +840,7 @@ def open_cache(
     """Construct (or wrap) a validity cache, install it as the scoped
     default, and persist it on exit.
 
-    This is the replacement for reaching into the
-    ``repro.smt.cache.GLOBAL`` singleton: the handle is explicit, the
+    The handle is explicit rather than a process-global singleton, the
     installation is scoped (the previous default is restored on exit),
     and tenancy is a constructor argument rather than hidden state::
 

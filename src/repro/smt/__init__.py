@@ -19,7 +19,6 @@ from .arith import (
     mixed_consistent,
     normalize_order_atom,
 )
-from .cache import _SEED_CACHE as VALIDITY_CACHE  # historical re-export
 from .cache import (
     ValidityCache,
     get_default,
@@ -30,15 +29,7 @@ from .cache import (
 )
 from .cnf import AtomTable, TseitinConverter, cnf_of, is_atom, to_nnf, tseitin
 from .compile import compile_term
-from .dpll import (
-    TheoryResult,
-    WatchedSolver,
-    dpll,
-    dpllt_equality,
-    euf_valid,
-    propositionally_valid,
-    sat,
-)
+from .dpll import WatchedSolver
 from .intern import clear_all_caches
 from .intern import stats as intern_stats
 from .euf import (
@@ -89,9 +80,7 @@ __all__ = [
     "PropagatorStack",
     "SessionPool",
     "SolverSession",
-    "TheoryResult",
     "TseitinConverter",
-    "VALIDITY_CACHE",
     "ValidityCache",
     "WatchedSolver",
     "clear_all_caches",
@@ -118,10 +107,7 @@ __all__ = [
     "congruence_closure_consistent",
     "conj",
     "disj",
-    "dpll",
-    "dpllt_equality",
     "eq",
-    "euf_valid",
     "evaluate_term",
     "find_model",
     "free_symvars",
@@ -143,8 +129,6 @@ __all__ = [
     "using_cache",
     "is_literally_true",
     "negate",
-    "propositionally_valid",
-    "sat",
     "simplify",
     "substitute",
     "to_nnf",

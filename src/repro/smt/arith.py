@@ -243,7 +243,7 @@ class DifferenceLogicPropagator:
         self._trivial: List[int] = []
         #: the atoms currently mirrored and propagated — an alias of
         #: ``_atoms`` until :meth:`focus` narrows it, so the unfocused
-        #: (fresh-solver) hot path pays nothing.
+        #: hot path pays nothing.
         self._live: Dict[int, tuple] = self._atoms
         self.rescan()
         self._stack: List[int] = []  # mirrored trail (0 for ignored literals)

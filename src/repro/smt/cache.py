@@ -49,9 +49,7 @@ Hit/miss counters are surfaced on every :class:`repro.smt.solver.Result`
 via its ``cache_hits``/``cache_misses`` fields.  The process-default
 cache is reachable via :func:`get_default` and replaceable via
 :func:`set_default` / the :func:`using_cache` context manager — the
-handle-passing surface of :mod:`repro.api`.  The historical module
-attribute ``GLOBAL`` still resolves to the seed instance, but its use
-is deprecated (access emits a :class:`DeprecationWarning`).
+handle-passing surface of :mod:`repro.api`.
 """
 
 from __future__ import annotations
@@ -62,7 +60,6 @@ import hashlib
 import json
 import logging
 import os
-import warnings
 from typing import Any, Dict, Hashable, Iterator, Mapping, Optional, Tuple
 
 from .intern import register_cache
@@ -597,18 +594,3 @@ def using_cache(cache: ValidityCache) -> Iterator[ValidityCache]:
     finally:
         set_default(previous)
 
-
-def __getattr__(name: str) -> Any:
-    """``GLOBAL`` is deprecated: it survives as an alias of the seed
-    instance so historical imports keep working, but new code should
-    take a handle from :func:`get_default` or pass one explicitly."""
-    if name == "GLOBAL":
-        warnings.warn(
-            "repro.smt.cache.GLOBAL is deprecated; use "
-            "repro.smt.cache.get_default() or pass an explicit "
-            "ValidityCache handle via repro.api.open_cache()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _SEED_CACHE
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,5 +1,6 @@
-"""CDCL SAT solving over a flat clause arena, and a DPLL(T) loop with
-incremental theory propagation for equality and difference logic.
+"""CDCL SAT solving over a flat clause arena, with the theory-propagator
+hook that the DPLL(T) loop of :mod:`repro.smt.session` attaches its
+equality and difference-logic propagators to.
 
 PR 2 replaced the seed's recursive clause-copying DPLL with an iterative
 trail + two-watched-literal search; PR 3 upgraded it to full CDCL
@@ -59,24 +60,20 @@ The restart / reduceDB / minimization features can be toggled
 independently at construction — the solver conformance suite
 (``tests/property/test_solver_conformance.py``) runs the differential
 contract against :mod:`repro.smt.reference` over every combination.
+
+Validity queries reach this solver only through a
+:class:`~repro.smt.session.SolverSession`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .arith import (
-    DifferenceLogicPropagator,
-    PropagatorStack,
-    is_difference_atom,
-    is_offset_equality_atom,
-    mixed_consistent,
-)
-from .cnf import CNF, AtomTable, Clause, TseitinConverter, cnf_of
-from .euf import EqualityPropagator, congruence_closure_consistent, is_equality_atom
-from .terms import App, Term
+from .arith import is_difference_atom
+from .cnf import AtomTable, Clause
+from .euf import is_equality_atom
+from .terms import App
 
 Assignment = Dict[int, bool]
 
@@ -1130,58 +1127,10 @@ class WatchedSolver:
         }
 
 
-def dpll(clauses: CNF, assignment: Optional[Assignment] = None) -> Optional[Assignment]:
-    """Satisfying assignment for a CNF, or None if unsatisfiable."""
-    solver = WatchedSolver(clauses)
-    assumptions = [
-        variable if value else -variable
-        for variable, value in (assignment or {}).items()
-    ]
-    return solver.solve(assumptions)
-
-
-def _solver_of(term: Term) -> Tuple[WatchedSolver, AtomTable]:
-    """A fresh solver with the term's CNF emitted straight into its
-    clause arena (no intermediate clause list), plus the atom table."""
-    converter = TseitinConverter()
-    solver = WatchedSolver()
-    root = converter.convert_into(term, solver.add_clause)
-    solver.add_clause((root,))
-    return solver, converter.table
-
-
-def sat(term: Term) -> Optional[Assignment]:
-    """Propositional satisfiability of a boolean term (atoms opaque)."""
-    solver, _table = _solver_of(term)
-    return solver.solve()
-
-
-def propositionally_valid(term: Term) -> bool:
-    """True iff the term is a propositional tautology (valid for *every*
-    theory interpretation of its atoms) — a sound fast path for the
-    bounded solver."""
-    negated = App("not", (term,))
-    return sat(negated) is None
-
-
 # ---------------------------------------------------------------------------
-# DPLL(T) for equality and difference logic
+# Theory-literal classification (the session's and the reference's
+# DPLL(T) loops)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TheoryResult:
-    """Outcome of the DPLL(T) search."""
-
-    satisfiable: bool
-    boolean_model: Optional[Assignment] = None
-    equalities: Tuple[Tuple[Term, Term], ...] = ()
-    disequalities: Tuple[Tuple[Term, Term], ...] = ()
-    models_blocked: int = 0
-    #: Atoms enqueued by theory propagation (0 when the lazy loop ran).
-    theory_propagations: int = 0
-    #: Order atoms with their asserted value (mixed-fragment models only).
-    orders: Tuple[Tuple[Term, bool], ...] = ()
 
 
 def _theory_literals(
@@ -1219,127 +1168,3 @@ def _theory_literals(
     if orders:
         return equalities, disequalities, order_atoms
     return equalities, disequalities
-
-
-def _fragment_propagator(table: AtomTable, allow_orders: bool):
-    """The theory propagator (or stack) for a formula's atom table, plus
-    whether the mixed equality/order DPLL(T) loop applies.
-
-    Returns ``(propagator, mixed)``: ``(None, False)`` when some atom
-    falls outside both fragments (the caller keeps the lazy
-    model-blocking loop and bails to enumeration), a bare
-    :class:`~repro.smt.euf.EqualityPropagator` for the pure equality
-    fragment, and a :class:`~repro.smt.arith.PropagatorStack` when order
-    atoms participate."""
-    atoms = table.atoms()
-    if not atoms:
-        return None, False
-    needs_difference = False
-    for atom in atoms.values():
-        if is_equality_atom(atom):
-            # An equality with an integer offset (x == y + 1) carries
-            # difference content congruence closure cannot see.
-            if allow_orders and is_offset_equality_atom(atom):
-                needs_difference = True
-            continue
-        if allow_orders and is_difference_atom(atom):
-            needs_difference = True
-            continue
-        return None, False
-    if not needs_difference:
-        return EqualityPropagator(table), False
-    stack = PropagatorStack(
-        EqualityPropagator(table), DifferenceLogicPropagator(table)
-    )
-    return stack, True
-
-
-def dpllt_equality(
-    term: Term, max_models: int = 10_000, allow_orders: bool = True
-) -> Optional[TheoryResult]:
-    """DPLL(T) for formulas whose atoms are ``==``/``!=`` between ground
-    terms and/or integer difference-logic comparisons (boolean structure
-    arbitrary).
-
-    For formulas entirely inside those fragments the matching theory
-    propagators are attached to the CDCL search — an
-    :class:`~repro.smt.euf.EqualityPropagator` alone for pure equality,
-    composed with a :class:`~repro.smt.arith.DifferenceLogicPropagator`
-    in a :class:`~repro.smt.arith.PropagatorStack` when order atoms
-    occur.  Theory reasoning runs incrementally along the boolean trail:
-    entailed atoms are enqueued at every fixpoint and theory conflicts
-    become learned clauses mid-search, with explanations that respect
-    the solver's MiniSat-style assumption levels (clauses learned while
-    a session's activation literal is assumed mention its negation, so
-    they survive for later queries).  The model-blocking loop below then
-    serves only as a safety net: ``models_blocked`` stays 0 on the pure
-    equality and pure difference fragments, and blocks only the rare
-    mixed models whose inconsistency needs the cross-theory equality
-    exchange of :func:`~repro.smt.arith.mixed_consistent`.
-
-    Formulas with an atom outside both fragments keep the PR 2
-    behaviour: lazy model blocking, bailing out (``None``) on the first
-    model that asserts such an atom so the caller falls back to the
-    bounded enumerator.  ``allow_orders=False`` restricts the search to
-    the equality fragment (used when a caller's sort overrides make
-    integer order reasoning unsound for the formula at hand).
-    """
-    solver, table = _solver_of(term)
-    propagator, mixed = _fragment_propagator(table, allow_orders)
-    if propagator is not None:
-        solver.attach_theory(propagator)
-    blocked = 0
-    propagated = 0
-    for _ in range(max_models):
-        model = solver.solve()
-        propagated = propagator.propagations if propagator is not None else 0
-        if model is None:
-            return TheoryResult(
-                False, models_blocked=blocked, theory_propagations=propagated
-            )
-        split = _theory_literals(model, table, orders=mixed)
-        if split is None:
-            return None  # outside the fragment
-        if mixed:
-            equalities, disequalities, order_atoms = split
-            consistent = mixed_consistent(equalities, disequalities, order_atoms)
-        else:
-            equalities, disequalities = split
-            order_atoms = []
-            consistent = congruence_closure_consistent(equalities, disequalities)
-        if consistent:
-            return TheoryResult(
-                True,
-                boolean_model=model,
-                equalities=tuple(equalities),
-                disequalities=tuple(disequalities),
-                models_blocked=blocked,
-                theory_propagations=propagated,
-                orders=tuple(order_atoms),
-            )
-        # Block this boolean model (only its theory-atom part).
-        conflict = tuple(
-            -index if value else index
-            for index, value in sorted(model.items())
-            if table.term_of(index) is not None
-        )
-        if not conflict:
-            return TheoryResult(
-                False, models_blocked=blocked, theory_propagations=propagated
-            )
-        solver.add_clause(conflict)
-        blocked += 1
-    return None  # model budget exhausted: undecided
-
-
-def euf_valid(
-    term: Term, max_models: int = 10_000, allow_orders: bool = True
-) -> Optional[bool]:
-    """Validity in the equality + difference-logic fragments: True/False,
-    or None if undecided / outside both fragments."""
-    result = dpllt_equality(
-        App("not", (term,)), max_models=max_models, allow_orders=allow_orders
-    )
-    if result is None:
-        return None
-    return not result.satisfiable

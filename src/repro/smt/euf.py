@@ -233,7 +233,7 @@ class EqualityPropagator:
         self._table = table
         #: the atoms currently mirrored and propagated — an alias of
         #: ``_atoms`` until :meth:`focus` narrows it, so the unfocused
-        #: (fresh-solver) hot path pays nothing.
+        #: hot path pays nothing.
         self._live: Dict[int, Tuple[Term, Term, bool]] = self._atoms
         self.rescan()
         self._stack: List[int] = []  # mirrored trail (0 for ignored literals)

@@ -28,10 +28,11 @@ solver, which the optimization did not touch.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Mapping, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from .cnf import CNF, AtomTable, Clause, is_atom
-from .dpll import TheoryResult, _theory_literals
+from .dpll import _theory_literals
 from .euf import congruence_closure_consistent
 from .solver import _MAX_ASSIGNMENTS, Result, Verdict
 from .sorts import Scope, Sort
@@ -351,6 +352,17 @@ def sat_reference(term: Term) -> Optional[Assignment]:
 
 def propositionally_valid_reference(term: Term) -> bool:
     return sat_reference(App("not", (term,))) is None
+
+
+@dataclass(frozen=True)
+class TheoryResult:
+    """Outcome of the seed DPLL(T) search."""
+
+    satisfiable: bool
+    boolean_model: Optional[Assignment] = None
+    equalities: Tuple[Tuple[Term, Term], ...] = ()
+    disequalities: Tuple[Tuple[Term, Term], ...] = ()
+    models_blocked: int = 0
 
 
 def dpllt_equality_reference(

@@ -33,10 +33,15 @@ session for formulas combining equality atoms with integer
 difference-logic order atoms, driven by a
 :class:`~repro.smt.arith.PropagatorStack` (equality + difference logic
 sharing the trail) with :func:`~repro.smt.arith.mixed_consistent` as the
-model-level blocking oracle.  VCs outside all fragments fall back to the
-one-shot :func:`~repro.smt.dpll.euf_valid` path, byte-for-byte
-preserving the fresh-solver verdicts (the differential harness in
+model-level blocking oracle.  VCs outside all fragments run the same
+model-blocking loop on a *throwaway* theory-free sub-session built for
+that one query, so their verdicts never depend on what the session
+solved before (the differential harness in
 ``tests/property/test_session_differential.py`` pins this).
+
+``check_validity`` without a session builds a transient
+:class:`SolverSession`, whose first query is by construction the fresh
+verdict.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from .arith import (
     mixed_consistent,
 )
 from .cnf import TseitinConverter, is_atom
-from .dpll import WatchedSolver, _theory_literals, euf_valid
+from .dpll import WatchedSolver, _theory_literals
 from .euf import EqualityPropagator, congruence_closure_consistent, is_equality_atom
 from .terms import App, Const, Term
 
@@ -136,9 +141,11 @@ class _SubSession:
         # Stream definition clauses straight into the solver's clause
         # arena — no intermediate clause list.
         root = self.converter.convert_into(formula, solver.add_clause)
-        activation = self.converter.table.fresh()
+        table = self.converter.table
+        activation = table.fresh()
         mark = solver.clause_mark()
         solver.add_clause((root, -activation))
+        self.focus_vars = {table.atom(atom) for atom in _iter_atoms(formula)}
         if self.propagator is not None:
             # New VCs may introduce new theory atoms: rescan the shared
             # table and (re-)attach so the solver notes the new
@@ -147,10 +154,6 @@ class _SubSession:
             # otherwise tax every propagation fixpoint of every later
             # query (the shared table only grows).
             self.propagator.rescan()
-            table = self.converter.table
-            self.focus_vars = {
-                table.atom(atom) for atom in _iter_atoms(formula)
-            }
             self.propagator.focus(self.focus_vars)
             solver.attach_theory(self.propagator)
         self.queries += 1
@@ -160,13 +163,12 @@ class _SubSession:
 class SolverSession:
     """Shared incremental solving for the VCs of one verification run.
 
-    The two entry points mirror the module-level fast paths of
-    :func:`repro.smt.solver.check_validity` and return the same verdicts
-    (``propositionally_valid`` → bool; ``theory_valid`` → True/False/
-    None), but amortize conversion and search state across calls.  A
-    session is single-threaded and cheap to construct; create one per
-    verification run (or per worker process) and pass it to
-    ``check_validity``.
+    The two entry points are the fast paths of
+    :func:`repro.smt.solver.check_validity` (``propositionally_valid`` →
+    bool; ``theory_valid`` → True/False/None) and amortize conversion
+    and search state across calls.  A session is single-threaded and
+    cheap to construct; create one per verification run (or per worker
+    process) and pass it to ``check_validity``.
     """
 
     __slots__ = (
@@ -179,14 +181,15 @@ class SolverSession:
         self._mixed = _SubSession(theory=True, orders=True)
         self.max_models = max_models
         self.models_blocked = 0
-        #: Queries outside every fragment, served by a one-shot solver.
+        #: Queries outside every fragment, each served by a throwaway
+        #: sub-session.
         self.fallbacks = 0
 
     # -- fast paths -------------------------------------------------------
 
     def propositionally_valid(self, term: Term) -> bool:
-        """Shared-solver counterpart of :func:`repro.smt.dpll.
-        propositionally_valid` (atoms opaque)."""
+        """True iff the term is a propositional tautology (valid for
+        *every* theory interpretation of its atoms, which stay opaque)."""
         negated = App("not", (term,))
         sub = self._skeleton
         activation, mark = sub.activate(negated)
@@ -197,10 +200,15 @@ class SolverSession:
         return model is None
 
     def theory_valid(self, term: Term, allow_orders: bool = True) -> Optional[bool]:
-        """Shared-solver counterpart of :func:`repro.smt.dpll.euf_valid`:
-        True/False for formulas in the ground-equality or mixed
-        equality/difference-logic fragments, None if undecided;
-        out-of-fragment formulas keep the one-shot lazy path.
+        """Validity in the ground-equality and mixed equality/
+        difference-logic fragments: True/False, or None if undecided.
+
+        Out-of-fragment formulas run the lazy model-blocking loop on a
+        throwaway theory-free sub-session: models are checked by
+        congruence closure as on the equality fragment, and the answer
+        is None as soon as a model asserts an atom outside it.  Sharing
+        that sub-session would carry blocking lemmas and search state
+        from one such query into the next and could change the verdict.
 
         ``allow_orders=False`` disables the mixed sub-session for this
         query (callers whose sort overrides reinterpret integer-labelled
@@ -215,12 +223,7 @@ class SolverSession:
         if allow_orders and in_mixed_fragment(term):
             return self._theory_query(self._mixed, term, mixed=True)
         self.fallbacks += 1
-        return euf_valid(
-            term, max_models=self.max_models, allow_orders=allow_orders
-        )
-
-    #: Backwards-compatible name from the pure-EUF session era.
-    euf_valid = theory_valid
+        return self._theory_query(_SubSession(theory=False), term, mixed=False)
 
     def _theory_query(
         self, sub: _SubSession, term: Term, mixed: bool
@@ -250,8 +253,9 @@ class SolverSession:
                     if index in focus
                 }
                 split = _theory_literals(focused, table, orders=mixed)
-                if split is None:  # unreachable: the shared table is pure
-                    return None
+                if split is None:
+                    # Only on the fallback: the shared tables are pure.
+                    return None  # an atom outside the fragment
                 if mixed:
                     equalities, disequalities, order_atoms = split
                     consistent = mixed_consistent(

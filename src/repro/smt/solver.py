@@ -40,16 +40,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Mapping, Optional
-
-if TYPE_CHECKING:  # pragma: no cover — import cycle guard
-    from .session import SolverSession
+from typing import Any, Mapping, Optional
 
 from . import cache as validity_cache
 from .arith import is_difference_atom, normalize_equality_atom
 from .cnf import BOOL_CONNECTIVES
 from .compile import compile_term
 from .euf import is_equality_atom
+from .session import SolverSession
 from .simplify import simplify
 from .sorts import INT, IntSort, Scope, Sort
 from .terms import App, Const, SymVar, Term, evaluate_term, free_symvars, int_constants
@@ -144,7 +142,7 @@ def check_validity(
     exhaustive: bool = False,
     use_sat: bool = True,
     use_cache: bool = True,
-    session: "SolverSession | None" = None,
+    session: SolverSession | None = None,
     cache: "validity_cache.ValidityCache | None" = None,
 ) -> Result:
     """Check that ``formula`` holds for all assignments to its free
@@ -160,15 +158,16 @@ def check_validity(
     formulas whose atoms are ground (dis)equalities and/or integer
     difference-logic comparisons, a DPLL(T) search with eager theory
     propagation (congruence closure + difference constraint graph) —
-    both yield genuine PROVED verdicts, not bounded ones.  Passing a
-    :class:`~repro.smt.session.SolverSession`
-    routes both fast paths through its shared incremental solvers
-    (assumption-activated VCs over one clause database) instead of
-    building a fresh solver per query.  Verdicts are unchanged on the
-    propositional and pure-theory fragments; on the *mixed*
-    equality/order fragment a warmed session may additionally decide a
-    query the fresh search left to the enumerator — a sound
-    strengthening of BOUNDED into PROVED, never a change of acceptance.
+    both yield genuine PROVED verdicts, not bounded ones.  Both fast
+    paths always run on a :class:`~repro.smt.session.SolverSession`
+    (assumption-activated VCs over one clause database): the one passed
+    as ``session``, or a transient one built for this query, whose
+    answer is the *fresh* verdict.  A warm session gives the fresh
+    verdict on the propositional and pure-theory fragments and on
+    out-of-fragment formulas; on the *mixed* equality/order fragment it
+    may additionally decide a query a fresh session leaves to the
+    enumerator — a sound strengthening of BOUNDED into PROVED, never a
+    change of acceptance.
 
     With ``use_cache`` (default), decisive results are memoized across
     calls keyed on the interned formula + scope + sorts; repeated
@@ -249,7 +248,7 @@ def _check_validity(
     sorts: Mapping[str, Sort] | None,
     exhaustive: bool,
     use_sat: bool,
-    session: "SolverSession | None" = None,
+    session: SolverSession | None = None,
 ) -> Result:
     simplified = simplify(formula)
     if simplified == Const(True):
@@ -261,16 +260,11 @@ def _check_validity(
         # The equality fragment is domain-generic and always on; the
         # order fragment is gated per query by _orders_safe.
         allow_orders = _orders_safe(simplified, sorts)
-        if session is not None:
-            if session.propositionally_valid(simplified):
-                return Result(Verdict.PROVED)
-            theory = session.theory_valid(simplified, allow_orders=allow_orders)
-        else:
-            from .dpll import euf_valid, propositionally_valid
-
-            if propositionally_valid(simplified):
-                return Result(Verdict.PROVED)
-            theory = euf_valid(simplified, allow_orders=allow_orders)
+        if session is None:
+            session = SolverSession()
+        if session.propositionally_valid(simplified):
+            return Result(Verdict.PROVED)
+        theory = session.theory_valid(simplified, allow_orders=allow_orders)
         if theory is True:
             return Result(Verdict.PROVED)
         # theory False means a *theory* countermodel exists but no
@@ -323,7 +317,7 @@ def find_model(
     formula: Term,
     scope: Scope | None = None,
     sorts: Mapping[str, Sort] | None = None,
-    session: "SolverSession | None" = None,
+    session: SolverSession | None = None,
 ) -> Optional[Mapping[str, Any]]:
     """Find an assignment satisfying ``formula`` (SAT), or None in scope."""
     from .terms import negate

@@ -144,7 +144,6 @@ def verify(
     conformance_samples: int = 6,
     conformance_mode: str = "auto",
     jobs: int = 1,
-    use_session: bool = True,
     session: Optional[SolverSession] = None,
     static_prepass: bool = True,
 ) -> VerificationResult:
@@ -164,14 +163,13 @@ def verify(
     validity in stage 1, per-block conformance VCs in stage 3 — out over
     a process pool, merging each worker's validity-cache delta back into
     the parent store (sequential fallback when the spec's callables do
-    not pickle; verdicts are identical either way).  ``use_session``
-    (default) discharges the run's conformance VCs on one shared
-    incremental :class:`~repro.smt.session.SolverSession` instead of a
-    fresh solver per VC.  Passing ``session`` explicitly reuses a
-    *caller-owned* warm session across verify() calls — how the
-    verification daemon (:mod:`repro.server`) carries learned clauses
-    and Tseitin definitions from one batch to the next; it implies
-    ``use_session`` and suppresses the per-run session.
+    not pickle; verdicts are identical either way).  The run's
+    conformance VCs are discharged on one shared incremental
+    :class:`~repro.smt.session.SolverSession`: its own, built for this
+    run, unless ``session`` passes a *caller-owned* warm session that is
+    reused across verify() calls — how the verification daemon
+    (:mod:`repro.server`) carries learned clauses and Tseitin
+    definitions from one batch to the next.
 
     Stage 4 discharges retroactive obligations on ``bounded_instances``
     by exploring every reachable final state of each input variant with
@@ -253,10 +251,7 @@ def verify(
             (program_spec.resource_by_action(atomic.action), atomic)
             for atomic in eligible
         ]
-        if session is not None:
-            run_session = session
-        else:
-            run_session = SolverSession() if use_session else None
+        run_session = session if session is not None else SolverSession()
 
         def _discharge_in_process(payload):
             decl, atomic = payload
@@ -268,8 +263,7 @@ def verify(
             # The pool task keeps one session per *worker process*; when
             # the pool cannot engage (unpicklable spec callables, broken
             # pool), the fallback stays on this run's own session so
-            # nothing leaks across verify() calls and ``use_session``
-            # keeps its meaning.
+            # nothing leaks across verify() calls.
             outcomes = parallel_map(
                 _conformance_task,
                 payloads,

@@ -21,6 +21,7 @@ from repro.casestudies import ALL_CASES
 from repro.client import BatchOutcome, ServiceClient, ServiceError, requests_for_cases
 from repro.server import VerificationServer
 from repro.smt import clear_all_caches
+from repro.smt.cache import ValidityCache, using_cache
 
 ALL_NAMES = [case.name for case in ALL_CASES]
 
@@ -135,7 +136,9 @@ def test_corpus_over_socket_matches_in_process_verify(daemon):
     clear_all_caches()
     fresh = {}
     for case in ALL_CASES:
-        result = case.verify(use_session=False)
+        # A fresh per-run session under a fresh cache.
+        with using_cache(ValidityCache()):
+            result = case.verify()
         fresh[case.name] = api.verdict_from_result(
             result, expected=case.expected_verified
         ).observable()

@@ -31,6 +31,7 @@ from repro import api
 from repro.casestudies import ALL_CASES
 from repro.client import RetryPolicy, ServiceClient, ServiceError, requests_for_cases
 from repro.server import VerificationServer
+from repro.smt.cache import ValidityCache, using_cache
 
 ALL_NAMES = [case.name for case in ALL_CASES]
 
@@ -343,7 +344,9 @@ def test_corpus_matches_fresh_runs_after_faults(chaos_daemon):
 
     fresh = {}
     for case in ALL_CASES:
-        result = case.verify(use_session=False)
+        # A fresh per-run session under a fresh cache.
+        with using_cache(ValidityCache()):
+            result = case.verify()
         fresh[case.name] = api.verdict_from_result(
             result, expected=case.expected_verified
         ).observable()

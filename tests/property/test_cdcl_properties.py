@@ -22,8 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.smt import reference
-from repro.smt.dpll import WatchedSolver, dpllt_equality
+from repro.smt.dpll import WatchedSolver
 from repro.smt.euf import CongruenceClosure
+from repro.smt.session import SolverSession
 from repro.smt.sorts import INT
 from repro.smt.terms import App, SymVar
 
@@ -260,20 +261,22 @@ class TestTheoryPropagation:
     @given(euf_formulas())
     @settings(max_examples=150, deadline=None)
     def test_verdicts_match_lazy_reference(self, term):
-        ours = dpllt_equality(term)
+        # A fresh session's theory_valid(¬t) is the DPLL(T) verdict on t.
+        ours = SolverSession().theory_valid(App("not", (term,)))
         theirs = reference.dpllt_equality_reference(term)
         assert (ours is None) == (theirs is None)
         if ours is not None:
-            assert ours.satisfiable == theirs.satisfiable
+            assert (not ours) == theirs.satisfiable
 
     @given(euf_formulas())
     @settings(max_examples=150, deadline=None)
     def test_pure_fragment_blocks_no_models(self, term):
         # With theory conflicts raised mid-search, the blocking loop
         # is a safety net that never fires inside the pure fragment.
-        result = dpllt_equality(term)
-        assert result is not None  # pure EUF: always decided
-        assert result.models_blocked == 0
+        session = SolverSession()
+        # pure EUF: always decided
+        assert session.theory_valid(App("not", (term,))) is not None
+        assert session.stats()["models_blocked"] == 0
 
 
 # ---------------------------------------------------------------------------

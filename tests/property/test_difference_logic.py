@@ -16,7 +16,7 @@ Four contracts are pinned here:
   and dropping any single literal restores feasibility;
 * **no blocked models on the pure fragment** — pure difference-logic
   formulas are decided entirely by theory propagation
-  (``models_blocked == 0``), fresh and through a shared session.
+  (``models_blocked == 0``), on a fresh session and on a shared one.
 """
 
 import itertools
@@ -30,7 +30,6 @@ from repro.smt.arith import (
     normalize_order_atom,
 )
 from repro.smt.cnf import AtomTable
-from repro.smt.dpll import dpllt_equality
 from repro.smt.session import SolverSession
 from repro.smt.solver import Verdict, check_validity
 from repro.smt.sorts import INT
@@ -82,20 +81,20 @@ class TestConjunctionsAgainstEnumeration:
     @settings(max_examples=60, deadline=None)
     def test_dpllt_verdict_matches_integer_enumeration(self, literals):
         formula = conj(*literals)
-        result = dpllt_equality(formula)
-        assert result is not None, formula
+        verdict = SolverSession().theory_valid(App("not", (formula,)))
+        assert verdict is not None, formula
         # Each constraint bound is at most MAX_CONSTANT + 1 in magnitude
         # (strictness adds one), so a satisfiable system of n literals
         # has a solution within ±n·(MAX_CONSTANT + 1).
         half_width = len(literals) * (MAX_CONSTANT + 1)
-        assert result.satisfiable == _window_solvable(formula, half_width), formula
+        assert (not verdict) == _window_solvable(formula, half_width), formula
 
     @given(st.lists(difference_literals(), min_size=1, max_size=5))
     @settings(max_examples=60, deadline=None)
     def test_pure_fragment_never_blocks_models(self, literals):
-        result = dpllt_equality(conj(*literals))
-        assert result is not None
-        assert result.models_blocked == 0
+        session = SolverSession()
+        assert session.theory_valid(App("not", (conj(*literals),))) is not None
+        assert session.stats()["models_blocked"] == 0
 
 
 @st.composite
@@ -264,7 +263,6 @@ class TestPureFragmentRegression:
 
     def test_corpus_fresh_dpllt_never_blocks(self):
         for formula in _corpus():
-            result = dpllt_equality(App("not", (formula,)))
-            assert result is not None
-            assert not result.satisfiable
-            assert result.models_blocked == 0
+            session = SolverSession()
+            assert session.theory_valid(formula) is True
+            assert session.stats()["models_blocked"] == 0

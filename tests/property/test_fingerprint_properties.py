@@ -18,7 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.smt import clear_all_caches
-from repro.smt.cache import GLOBAL, ValidityCache, persistent_key, term_fingerprint
+from repro.smt.cache import (
+    ValidityCache,
+    get_default,
+    persistent_key,
+    term_fingerprint,
+)
 from repro.smt.solver import Result, Verdict, check_validity
 from repro.smt.sorts import BOOL, INT, Scope
 from repro.smt.terms import App, Const, SymVar
@@ -175,22 +180,23 @@ class TestStoreRoundTrip:
         ]
         handle, path = tempfile.mkstemp(suffix=".json")
         os.close(handle)
+        cache = get_default()
         try:
-            GLOBAL.forget_persistent()
+            cache.forget_persistent()
             clear_all_caches()
-            GLOBAL.enable_persistence()
+            cache.enable_persistence()
             cold = [check_validity(f) for f in formulas]
-            GLOBAL.save(path)
+            cache.save(path)
 
-            GLOBAL.forget_persistent()
+            cache.forget_persistent()
             clear_all_caches()
-            GLOBAL.load(path)
+            cache.load(path)
             warm = [check_validity(f) for f in formulas]
             assert [r.verdict for r in cold] == [r.verdict for r in warm]
             assert [r.model for r in cold] == [r.model for r in warm]
             assert all(r.from_cache for r in warm)
-            assert GLOBAL.stats()["persistent_hits"] == len(formulas)
+            assert cache.stats()["persistent_hits"] == len(formulas)
         finally:
-            GLOBAL.forget_persistent()
+            cache.forget_persistent()
             clear_all_caches()
             os.unlink(path)

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.smt.cnf import cnf_of, to_nnf
-from repro.smt.dpll import dpll, propositionally_valid, sat
+from repro.smt.dpll import WatchedSolver
 from repro.smt.euf import congruence_closure_consistent
+from repro.smt.session import SolverSession
 from repro.smt.sorts import BOOL, INT
 from repro.smt.terms import App, Const, SymVar, evaluate_term, free_symvars, negate
 
@@ -38,13 +39,14 @@ class TestDPLLAgainstBruteForce:
     @settings(max_examples=300, deadline=None)
     def test_sat_agrees_with_truth_tables(self, term):
         expected = brute_force_sat(term) is not None
-        assert (sat(term) is not None) == expected
+        satisfiable = not SolverSession().propositionally_valid(negate(term))
+        assert satisfiable == expected
 
     @given(bool_terms())
     @settings(max_examples=200, deadline=None)
     def test_validity_agrees_with_truth_tables(self, term):
         expected = brute_force_sat(negate(term)) is None
-        assert propositionally_valid(term) == expected
+        assert SolverSession().propositionally_valid(term) == expected
 
     @given(bool_terms())
     @settings(max_examples=200, deadline=None)
@@ -61,7 +63,7 @@ class TestDPLLAgainstBruteForce:
     @settings(max_examples=150, deadline=None)
     def test_dpll_models_are_genuine(self, term):
         clauses, _table = cnf_of(term)
-        model = dpll(clauses)
+        model = WatchedSolver(clauses).solve()
         if model is not None:
             for clause in clauses:
                 assert any((lit > 0) == model.get(abs(lit), False) for lit in clause)

@@ -2,7 +2,8 @@
 
 Hypothesis-generated VC batches are discharged three ways —
 
-1. **fresh** — a fresh solver per VC (the pre-session behaviour),
+1. **fresh** — a transient session per VC (what ``check_validity``
+   does when no session is passed),
 2. **session** — one shared :class:`repro.smt.session.SolverSession`,
    where each VC is activated by an assumption literal and retired after
    its query,
@@ -24,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.smt import clear_all_caches
-from repro.smt.cache import GLOBAL
+from repro.smt.cache import get_default
 from repro.smt.session import SolverSession, in_euf_fragment, in_mixed_fragment
 from repro.smt.solver import Verdict, check_validity
 from repro.smt.sorts import BOOL, INT
@@ -32,15 +33,18 @@ from repro.smt.terms import App, Const, SymVar
 
 BOOL_VARS = [SymVar(name, BOOL) for name in ("a", "b", "c")]
 INT_VARS = [SymVar(name, INT) for name in ("x", "y", "z")]
-EUF_TERMS = INT_VARS + [App("f", (v,)) for v in INT_VARS]
+APPLICATIONS = [App("f", (v,)) for v in INT_VARS]
+EUF_TERMS = INT_VARS + APPLICATIONS
 
 
 @st.composite
 def vc_formulas(draw, depth=2):
-    """Small VC-shaped formulas across all three solver regimes:
-    pure boolean skeletons, ground-equality (EUF) formulas, and
-    mixed/arithmetic formulas that force the bounded enumerator."""
-    kind = draw(st.integers(min_value=0, max_value=2))
+    """Small VC-shaped formulas across every solver regime: pure
+    boolean skeletons, ground-equality (EUF) formulas, difference-logic
+    order atoms, and out-of-fragment comparisons over uninterpreted
+    applications (``f(x) < y``) that take the throwaway-sub-session
+    fallback and force the bounded enumerator."""
+    kind = draw(st.integers(min_value=0, max_value=3))
     if depth == 0:
         if kind == 0:
             return draw(st.sampled_from(BOOL_VARS + [Const(True), Const(False)]))
@@ -50,8 +54,14 @@ def vc_formulas(draw, depth=2):
                 op,
                 (draw(st.sampled_from(EUF_TERMS)), draw(st.sampled_from(EUF_TERMS))),
             )
+        if kind == 2:
+            return App(
+                "<",
+                (draw(st.sampled_from(INT_VARS)), draw(st.sampled_from(INT_VARS))),
+            )
         return App(
-            "<", (draw(st.sampled_from(INT_VARS)), draw(st.sampled_from(INT_VARS)))
+            "<",
+            (draw(st.sampled_from(APPLICATIONS)), draw(st.sampled_from(INT_VARS))),
         )
     op = draw(st.sampled_from(["and", "or", "not", "implies"]))
     if op == "not":
@@ -85,19 +95,20 @@ def _solve_after_round_trip(batch):
     and replay the batch; answers must come from the store."""
     handle, path = tempfile.mkstemp(suffix=".json")
     os.close(handle)
+    cache = get_default()
     try:
-        GLOBAL.forget_persistent()
+        cache.forget_persistent()
         clear_all_caches()
-        GLOBAL.enable_persistence()
+        cache.enable_persistence()
         session = SolverSession()
         first = [
             _observe(check_validity(formula, session=session)) for formula in batch
         ]
-        GLOBAL.save(path)
+        cache.save(path)
 
-        GLOBAL.forget_persistent()
+        cache.forget_persistent()
         clear_all_caches()
-        GLOBAL.load(path)
+        cache.load(path)
         replay_session = SolverSession()
         replayed = []
         for formula, observed_first in zip(batch, first):
@@ -109,7 +120,7 @@ def _solve_after_round_trip(batch):
             replayed.append(_observe(result))
         return replayed
     finally:
-        GLOBAL.forget_persistent()
+        cache.forget_persistent()
         clear_all_caches()
         os.unlink(path)
 
@@ -170,8 +181,9 @@ class TestSessionDifferential:
         """The fragment classifiers must accept exactly the formulas
         whose atoms a shared sub-session table may absorb: pure-equality
         formulas go to the EUF sub-session, order-bearing formulas in
-        the difference fragment to the mixed one, everything else to the
-        one-shot fallback."""
+        the difference fragment to the mixed one, everything else
+        (boolean variables, ``f(x) < y``) to the fallback on a throwaway
+        sub-session, which never touches the shared tables."""
         session = SolverSession()
         before = session.fallbacks
         session.theory_valid(formula)

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from repro.smt import reference
 from repro.smt.compile import compile_term
 from repro.smt.cnf import cnf_of, to_nnf
-from repro.smt.dpll import dpll, dpllt_equality, propositionally_valid, sat
+from repro.smt.dpll import WatchedSolver
+from repro.smt.session import SolverSession
 from repro.smt.simplify import simplify
 from repro.smt.solver import check_validity
 from repro.smt.sorts import BOOL, INT
@@ -138,20 +139,20 @@ class TestWatchedSolverAgainstReference:
     @given(bool_terms())
     @settings(max_examples=300, deadline=None)
     def test_sat_agrees_with_reference(self, term):
-        assert (sat(term) is not None) == (reference.sat_reference(term) is not None)
+        satisfiable = not SolverSession().propositionally_valid(negate(term))
+        assert satisfiable == (reference.sat_reference(term) is not None)
 
     @given(bool_terms())
     @settings(max_examples=200, deadline=None)
     def test_validity_agrees_with_reference(self, term):
-        assert propositionally_valid(term) == reference.propositionally_valid_reference(
-            term
-        )
+        valid = SolverSession().propositionally_valid(term)
+        assert valid == reference.propositionally_valid_reference(term)
 
     @given(bool_terms())
     @settings(max_examples=150, deadline=None)
     def test_watched_models_satisfy_reference_cnf(self, term):
         clauses, _table = cnf_of(term)
-        model = dpll(clauses)
+        model = WatchedSolver(clauses).solve()
         reference_model = reference.dpll_reference(clauses)
         assert (model is None) == (reference_model is None)
         if model is not None:
@@ -182,11 +183,12 @@ class TestDPLLTAgainstReference:
     @given(euf_formulas())
     @settings(max_examples=150, deadline=None)
     def test_dpllt_satisfiability_agrees(self, term):
-        new = dpllt_equality(term)
+        # A fresh session's theory_valid(¬t) is the DPLL(T) verdict on t.
+        new = SolverSession().theory_valid(negate(term))
         ref = reference.dpllt_equality_reference(term)
         assert (new is None) == (ref is None)
         if new is not None:
-            assert new.satisfiable == ref.satisfiable
+            assert (not new) == ref.satisfiable
 
 
 class TestValidityVerdictsAgainstReference:

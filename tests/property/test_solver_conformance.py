@@ -12,7 +12,8 @@ on/off combination of those features, on two instance distributions:
   conflict analysis);
 * Tseitin CNFs of random boolean terms (the skeleton distribution the
   verifier actually feeds the solver), checked end-to-end through
-  :func:`repro.smt.dpll.sat` / the reference's ``cnf_of_reference``.
+  a fresh :class:`repro.smt.session.SolverSession` / the reference's
+  ``cnf_of_reference``.
 
 Checked contracts, per configuration:
 
@@ -38,7 +39,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.smt import reference
-from repro.smt.dpll import WatchedSolver, sat
+from repro.smt.dpll import WatchedSolver
+from repro.smt.session import SolverSession
 from repro.smt.solver import check_validity
 from repro.smt.sorts import BOOL
 from repro.smt.terms import App, Const, SymVar
@@ -169,7 +171,7 @@ class TestTseitinConformance:
     @given(boolean_terms())
     @settings(max_examples=25, deadline=None)
     def test_sat_of_random_terms(self, config, term):
-        """End-to-end through Tseitin: `sat` verdict vs the reference's
+        """End-to-end through Tseitin: session verdict vs the reference's
         cnf + recursive DPLL, under every feature combination (the
         configured solver is driven on the reference's clause set so the
         encodings are comparable clause-for-clause)."""
@@ -178,9 +180,9 @@ class TestTseitinConformance:
         _differential(full, config)
         # And the production entry point (polarity-aware encoding) must
         # agree on satisfiability with the reference encoding.
-        model = sat(term)
+        unsatisfiable = SolverSession().propositionally_valid(App("not", (term,)))
         oracle = reference.dpll_reference([list(c) for c in full], {})
-        assert (model is None) == (oracle is None)
+        assert unsatisfiable == (oracle is None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Unit tests for the ``repro.api`` facade: wire round-trips, request
 validation, admission-control estimation, explicit cache handles, and
-the deprecation of the ``GLOBAL`` cache singleton."""
+the removal of the ``GLOBAL`` cache singleton."""
 
 import pytest
 
 from repro import api
-from repro.smt.cache import ValidityCache, get_default
+from repro.smt.cache import get_default
 from repro.smt.sorts import BOOL, INT
 from repro.smt.terms import App, Const, SymVar
 
@@ -239,12 +239,15 @@ def test_execute_case_matches_direct_verify():
     assert verdict.ok
 
 
-def test_verify_batch_shares_a_session():
+def test_verify_batch_shares_a_session(tmp_path):
     requests = [
         api.VerificationRequest(case="Figure 3"),
         api.VerificationRequest(case="Figure 3"),
     ]
-    report = api.verify_batch(requests)
+    # A fresh cache: a warm process default would answer every VC and
+    # leave the session idle.
+    with api.open_cache(tmp_path):
+        report = api.verify_batch(requests)
     assert report.ok
     assert len(report.verdicts) == 2
     assert report.stats["session"]["queries"] > 0
@@ -293,12 +296,23 @@ def test_open_cache_namespaces_are_isolated(tmp_path):
         assert other.stats()["persistent_hits"] == 0
 
 
-def test_global_alias_is_deprecated_but_works():
-    import repro.smt.cache as cache_module
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("repro.smt.cache", "GLOBAL"),
+        ("repro.smt", "VALIDITY_CACHE"),
+        ("repro.smt.session", "SolverSession.euf_valid"),
+    ],
+)
+def test_removed_shims_raise_attribute_error(module, name):
+    import importlib
 
-    with pytest.warns(DeprecationWarning):
-        alias = cache_module.GLOBAL
-    assert isinstance(alias, ValidityCache)
+    owner = importlib.import_module(module)
+    *path, last = name.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    with pytest.raises(AttributeError):
+        getattr(owner, last)
 
 
 def test_module_getattr_still_raises_for_unknown_names():

@@ -1,10 +1,12 @@
-"""Tests for the SAT/EUF layer of the SMT substrate (cnf, dpll, euf)."""
+"""Tests for the SAT/EUF layer of the SMT substrate (cnf, dpll, euf,
+and the DPLL(T) loop of a solver session)."""
 
 import pytest
 
 from repro.smt.cnf import cnf_of, is_atom, to_nnf, tseitin
-from repro.smt.dpll import dpll, dpllt_equality, euf_valid, propositionally_valid, sat
+from repro.smt.dpll import WatchedSolver
 from repro.smt.euf import CongruenceClosure, congruence_closure_consistent
+from repro.smt.session import SolverSession
 from repro.smt.solver import Verdict, check_validity
 from repro.smt.sorts import BOOL, INT
 from repro.smt.terms import App, Const, SymVar, conj, disj, eq, implies, negate
@@ -19,6 +21,27 @@ z = SymVar("z", INT)
 
 def f(term):
     return App("f", (term,))
+
+
+def satisfiable(term):
+    """Propositional satisfiability (atoms opaque) on a fresh session."""
+    return not SolverSession().propositionally_valid(negate(term))
+
+
+def propositionally_valid(term):
+    return SolverSession().propositionally_valid(term)
+
+
+def theory_sat(term, allow_orders=True):
+    """DPLL(T) satisfiability of ``term`` on a fresh session: True/False,
+    or None when undecided; plus the session's counters."""
+    session = SolverSession()
+    valid = session.theory_valid(negate(term), allow_orders=allow_orders)
+    return (None if valid is None else not valid), session.stats()
+
+
+def euf_valid(term, allow_orders=True):
+    return SolverSession().theory_valid(term, allow_orders=allow_orders)
 
 
 class TestNNF:
@@ -48,11 +71,10 @@ class TestNNF:
 
 class TestDPLL:
     def test_sat_simple(self):
-        model = sat(conj(a, negate(b)))
-        assert model is not None
+        assert satisfiable(conj(a, negate(b)))
 
     def test_unsat_contradiction(self):
-        assert sat(conj(a, negate(a))) is None
+        assert not satisfiable(conj(a, negate(a)))
 
     def test_tautology_is_propositionally_valid(self):
         assert propositionally_valid(disj(a, negate(a)))
@@ -71,11 +93,11 @@ class TestDPLL:
         p1 = SymVar("p1", BOOL)
         p2 = SymVar("p2", BOOL)
         formula = conj(p1, p2, disj(negate(p1), negate(p2)))
-        assert sat(formula) is None
+        assert not satisfiable(formula)
 
     def test_dpll_model_satisfies_clauses(self):
         clauses, _ = cnf_of(conj(disj(a, b), disj(negate(a), c), disj(negate(b), negate(c))))
-        model = dpll(clauses)
+        model = WatchedSolver(clauses).solve()
         assert model is not None
         for clause in clauses:
             assert any((lit > 0) == model.get(abs(lit), False) for lit in clause)
@@ -133,50 +155,39 @@ class TestCongruenceClosure:
 class TestDPLLT:
     def test_equality_chain_unsat(self):
         formula = conj(eq(x, y), eq(y, z), negate(eq(x, z)))
-        result = dpllt_equality(formula)
-        assert result is not None
-        assert not result.satisfiable
+        assert theory_sat(formula)[0] is False
 
     def test_equality_sat(self):
         formula = conj(eq(x, y), negate(eq(y, z)))
-        result = dpllt_equality(formula)
-        assert result is not None
-        assert result.satisfiable
+        assert theory_sat(formula)[0] is True
 
     def test_boolean_structure_with_theory_conflict(self):
         # (x=y ∨ x=z) ∧ x≠y ∧ x≠z is unsat; needs model blocking.
         formula = conj(disj(eq(x, y), eq(x, z)), negate(eq(x, y)), negate(eq(x, z)))
-        result = dpllt_equality(formula)
-        assert result is not None
-        assert not result.satisfiable
+        assert theory_sat(formula)[0] is False
 
     def test_congruence_in_dpllt(self):
         formula = conj(eq(x, y), negate(eq(f(x), f(y))))
-        result = dpllt_equality(formula)
-        assert result is not None
-        assert not result.satisfiable
+        assert theory_sat(formula)[0] is False
 
     def test_outside_fragment_returns_none(self):
         # A comparison over an uninterpreted application is outside both
         # the equality and difference fragments: the caller falls back.
         formula = App("<", (f(x), y))
-        assert dpllt_equality(formula) is None
+        verdict, stats = theory_sat(formula)
+        assert verdict is None
+        assert stats["fallbacks"] == 1
 
     def test_difference_logic_atoms_are_decided(self):
-        # Since PR 5 an integer comparison is *inside* the fragment: the
+        # An integer comparison is *inside* the fragment: the
         # difference-logic propagator decides it instead of bailing out.
-        formula = App("<", (x, y))
-        result = dpllt_equality(formula)
-        assert result is not None
-        assert result.satisfiable
-        # Mixed-fragment models expose their order-atom assignment the
-        # same way equalities/disequalities are exposed.
-        assert (App("<", (x, y)), True) in result.orders
+        verdict, stats = theory_sat(App("<", (x, y)))
+        assert verdict is True
+        assert stats["fallbacks"] == 0
         cycle = conj(App("<", (x, y)), App("<", (y, z)), App("<", (z, x)))
-        result = dpllt_equality(cycle)
-        assert result is not None
-        assert not result.satisfiable
-        assert result.models_blocked == 0
+        verdict, stats = theory_sat(cycle)
+        assert verdict is False
+        assert stats["models_blocked"] == 0
 
     def test_difference_logic_validity(self):
         chain = implies(
@@ -197,9 +208,9 @@ class TestDPLLT:
         swap = conj(
             eq(x, App("+", (y, Const(1)))), eq(y, App("+", (x, Const(1))))
         )
-        result = dpllt_equality(swap)
-        assert result is not None
-        assert not result.satisfiable
+        verdict, stats = theory_sat(swap)
+        assert verdict is False
+        assert stats["mixed_queries"] == 1
 
     def test_bounded_range_disequalities_split(self):
         # 0 <= v <= 1 ∧ v ≠ 0 ∧ v ≠ 1: neither theory alone refutes it;
@@ -210,9 +221,7 @@ class TestDPLLT:
             negate(eq(x, Const(0))),
             negate(eq(x, Const(1))),
         )
-        result = dpllt_equality(formula)
-        assert result is not None
-        assert not result.satisfiable
+        assert theory_sat(formula)[0] is False
 
     def test_euf_validity(self):
         # x=y ⟹ f(x)=f(y) is EUF-valid.

@@ -1,7 +1,18 @@
 """Unit behaviour of SolverSession: activation bookkeeping, clause-DB
 leanness under retirement, and structural sharing across related VCs."""
 
-from repro.smt import INT, App, SymVar, Verdict, check_validity, conj, eq, implies
+from repro.smt import (
+    BOOL,
+    INT,
+    App,
+    SymVar,
+    Verdict,
+    check_validity,
+    conj,
+    disj,
+    eq,
+    implies,
+)
 from repro.smt.session import SolverSession, in_euf_fragment, in_mixed_fragment
 from repro.smt.terms import Const, negate
 
@@ -35,7 +46,7 @@ class TestSession:
         assert session.fallbacks == 0
         assert session.stats()["mixed_queries"] == 1
         # A comparison over an uninterpreted application is outside
-        # every fragment: one-shot fallback.
+        # every fragment: the fallback on a throwaway sub-session.
         outside = implies(
             App("<", (App("g", (x,)), y)), App("<", (App("g", (x,)), y))
         )
@@ -90,6 +101,29 @@ class TestSession:
             shared = check_validity(formula, use_cache=False, session=session)
             assert fresh.verdict == shared.verdict
             assert fresh.model == shared.model
+
+    def test_fallback_verdict_ignores_earlier_fallbacks(self):
+        # Both formulas are outside every fragment (boolean variables,
+        # a product).  Had the fallback sub-session been shared, the
+        # search state left by the first query would make the second
+        # one's model assert a boolean atom: None instead of the fresh
+        # countermodel verdict False.
+        x, y, z = (SymVar(name, INT) for name in ("hx", "hy", "hz"))
+        a, c = SymVar("ha", BOOL), SymVar("hc", BOOL)
+        earlier = disj(
+            implies(
+                conj(eq(Const(0), z), c),
+                implies(eq(App("*", (z, y)), z), App("!=", (App("f", (x,)), x))),
+            ),
+            negate(implies(c, Const(False))),
+        )
+        later = negate(implies(disj(c, a), eq(App("f", (y,)), App("f", (z,)))))
+        fresh = SolverSession().theory_valid(later)
+        assert fresh is False
+        session = SolverSession()
+        session.theory_valid(earlier)
+        assert session.theory_valid(later) == fresh
+        assert session.fallbacks == 2
 
     def test_unknown_formulas_are_unaffected(self):
         # An uninterpreted unary application mixed with arithmetic falls

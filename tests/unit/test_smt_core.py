@@ -22,8 +22,8 @@ from repro.smt import (
     negate,
     simplify,
 )
-from repro.smt.cache import GLOBAL as VALIDITY_CACHE
 from repro.smt.cnf import cnf_of
+from repro.smt.session import SolverSession
 
 
 def _lit_assign(values):
@@ -324,8 +324,6 @@ class TestCDCL:
 
 class TestTheoryPropagation:
     def test_pigeonhole_euf_needs_no_blocked_models(self):
-        from repro.smt.dpll import dpllt_equality
-
         xs = [SymVar(f"tp_w{i}", INT) for i in range(4)]
         y, z = SymVar("tp_y", INT), SymVar("tp_z", INT)
         parts = [disj(eq(x, y), eq(x, z)) for x in xs]
@@ -334,11 +332,12 @@ class TestTheoryPropagation:
             for i in range(4)
             for j in range(i + 1, 4)
         )
-        result = dpllt_equality(conj(*parts))
-        assert result is not None
-        assert not result.satisfiable
-        assert result.models_blocked == 0
-        assert result.theory_propagations > 0
+        session = SolverSession()
+        # The conjunction is unsatisfiable: its negation is valid.
+        assert session.theory_valid(negate(conj(*parts))) is True
+        stats = session.stats()
+        assert stats["models_blocked"] == 0
+        assert stats["theory_propagations"] > 0
 
     def test_entailed_atom_is_propagated(self):
         from repro.smt.cnf import AtomTable
@@ -393,24 +392,22 @@ class TestTheoryPropagation:
         assert implied == []  # nothing asserted any more
 
     def test_mixed_fragment_is_decided_since_pr5(self):
-        from repro.smt.dpll import dpllt_equality
-
         x, y = SymVar("mx_x", INT), SymVar("mx_y", INT)
         mixed = conj(App("<", (x, y)), eq(x, y))
         # x < y contradicts x = y: the equality + difference-logic
         # propagator stack refutes it without bailing to enumeration.
-        result = dpllt_equality(mixed)
-        assert result is not None
-        assert not result.satisfiable
+        session = SolverSession()
+        assert session.theory_valid(negate(mixed)) is True
+        assert session.stats()["fallbacks"] == 0
 
     def test_out_of_fragment_still_lazy(self):
-        from repro.smt.dpll import dpllt_equality
-
         x, y = SymVar("mxo_x", INT), SymVar("mxo_y", INT)
         # A comparison over an uninterpreted application is outside both
         # fragments: a found model asserting it bails out (None).
         outside = conj(App("<", (App("g", (x,)), y)), eq(x, y))
-        assert dpllt_equality(outside) is None
+        session = SolverSession()
+        assert session.theory_valid(negate(outside)) is None
+        assert session.stats()["fallbacks"] == 1
 
 
 class TestValidityCache:
