@@ -579,8 +579,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             for path in args.repro:
                 case, recorded = load_repro(path)
                 outcome = check_case(
-                    case, session=session, schedules=args.schedules,
-                    exhaustive_budget=args.exhaustive_budget, seed=args.seed,
+                    case, session=session, schedules=args.schedules, seed=args.seed
                 )
                 kind = failure_kind(outcome) or "no-failure"
                 marker = "REPRODUCED" if kind == recorded else "CHANGED"
@@ -601,7 +600,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             budget=args.budget,
             shrink=not args.no_shrink,
             schedules=args.schedules,
-            exhaustive_budget=args.exhaustive_budget,
             repro_dir=args.repro_dir,
         )
 
@@ -678,11 +676,6 @@ def _build_fuzz_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--schedules", type=int, default=10,
         help="random schedules per input variant in sampled mode (default 10)",
-    )
-    parser.add_argument(
-        "--exhaustive-budget", type=int, default=2000,
-        help="max explored states per enumeration before falling back to "
-        "sampled schedules (default 2000)",
     )
     parser.add_argument(
         "--report", default=None, metavar="FILE", help="write the JSON report to FILE"

@@ -240,6 +240,15 @@ class ResourceRequest:
 InstanceGroups = Tuple[Tuple[dict, Tuple[dict, ...]], ...]
 
 
+def _decode_inputs(store: Any) -> dict:
+    """Wire inputs as language values: JSON arrays become tuples."""
+
+    def decode(value: Any) -> Any:
+        return tuple(map(decode, value)) if isinstance(value, list) else value
+
+    return {name: decode(value) for name, value in dict(store).items()}
+
+
 @dataclass(frozen=True)
 class VerificationRequest:
     """One verification obligation, in one of three shapes.
@@ -388,7 +397,7 @@ class VerificationRequest:
         if instances is not None:
             try:
                 instances = tuple(
-                    (dict(low), tuple(dict(v) for v in variants))
+                    (_decode_inputs(low), tuple(_decode_inputs(v) for v in variants))
                     for low, variants in instances
                 )
             except (TypeError, ValueError) as error:

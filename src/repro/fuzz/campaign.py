@@ -32,7 +32,6 @@ class FuzzConfig:
     budget: Optional[float] = None  # wall-clock seconds; None = unlimited
     shrink: bool = True
     schedules: int = 10
-    exhaustive_budget: int = 2000
     repro_dir: Optional[str] = None
 
 
@@ -63,11 +62,7 @@ def _failure_entry(
 
         def still_fails(candidate: GeneratedCase) -> bool:
             probe = check_case(
-                candidate,
-                session=session,
-                schedules=config.schedules,
-                exhaustive_budget=config.exhaustive_budget,
-                seed=config.seed,
+                candidate, session=session, schedules=config.schedules, seed=config.seed
             )
             return failure_kind(probe) == kind
 
@@ -116,11 +111,7 @@ def run_campaign(
             break
         case = generate_case(config.seed, index)
         outcome = check_case(
-            case,
-            session=session,
-            schedules=config.schedules,
-            exhaustive_budget=config.exhaustive_budget,
-            seed=config.seed,
+            case, session=session, schedules=config.schedules, seed=config.seed
         )
         outcomes.append(outcome)
         if progress is not None:
@@ -163,7 +154,6 @@ def run_campaign(
         "elapsed_s": round(elapsed, 3),
         "budget_exhausted": budget_exhausted,
         "schedules": config.schedules,
-        "exhaustive_budget": config.exhaustive_budget,
         "families": dict(sorted(families.items())),
         "mutations": dict(sorted(mutations.items())),
         "counters": counters,

@@ -8,22 +8,19 @@ For each generated case the oracle derives three independent verdicts:
    whenever the prepass actually engaged (it can only change the outcome
    when it reported ``secure``); any difference in the verified verdict
    is a *fast-path bug*.
-3. **Empirical noninterference** — paired executions over the case's
-   instance groups: every reachable final state, found by the
-   partial-order-reduced explorer
-   :func:`~repro.lang.scheduler.enumerate_executions`, when each
-   variant's state space fits a budget of explored states; seeded
-   :class:`~repro.lang.scheduler.RandomScheduler` sweeps otherwise.  A
-   case the verifier PROVED that empirically leaks is a *soundness
-   failure* — the one verdict that must never occur.
+3. **Empirical noninterference** — the Def. 2.1 checker that ``verify``'s
+   stage 4 uses,
+   :func:`~repro.security.noninterference.check_noninterference`, over
+   the case's instance groups: every reachable final state when each
+   variant's state space fits its state budget, seeded random schedules
+   otherwise.  A case the verifier PROVED that empirically leaks is a
+   *soundness failure* — the one verdict that must never occur.
 
 Observed leaks are additionally quantified so a failure report says not
 just *that* the case leaks but how much.  In exhaustive mode the bound
-comes for free from the exploration: ``leak_bits`` is log2 of the number
-of distinct sets of reachable observations among the witness group's
-variants, the possibilistic capacity of the channel on that group (one
-set, 0 bits: the secret does not change what can be observed).  Only on
-the sampled fallback is it estimated with
+comes for free from the exploration (``NIReport.leak_bits``: log2 of the
+number of distinct sets of reachable observations among the witness
+group's variants).  Only on the sampled fallback is it estimated with
 :func:`repro.security.leakage.mutual_information`.  In both modes
 :func:`~repro.security.leakage.threshold_leak` checks whether
 round-robin scheduling alone distinguishes the witness's secrets.
@@ -39,18 +36,14 @@ that the oracle catches it and the shrinker minimizes it.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional
 
-from ..lang.ast import Command
-from ..lang.interpreter import AbortError
-from ..lang.scheduler import StateBudgetExceeded, enumerate_executions
-from ..lang.semantics import ABORT, Config, State
+# Unused here; kept as a module name because perfbench/tracer.py wraps it.
+from ..lang.scheduler import enumerate_executions  # noqa: F401
 from ..security.leakage import mutual_information, threshold_leak
-from ..security.noninterference import NIReport, Witness, channel_observer
-from ..security.noninterference import check_noninterference
+from ..security.noninterference import Witness, channel_observer, check_noninterference
 from ..smt.session import SolverSession
 from ..verifier.frontend import verify
 from .gen import GeneratedCase
@@ -94,10 +87,9 @@ class OracleOutcome:
     executions: int
     witness: Optional[Witness]
     #: Size of an observed leak in bits (None without a leak).  In
-    #: exhaustive mode, log2 of the number of distinct per-variant sets
-    #: of reachable observations in the witness's instance group; in
-    #: sampled mode, the empirical mutual information along the
-    #: witness's differing high input (None when it has none).
+    #: exhaustive mode, ``NIReport.leak_bits``; in sampled mode, the
+    #: empirical mutual information along the witness's differing high
+    #: input (None when it has none).
     leak_bits: Optional[float]
     leak_threshold: Optional[bool]
     runtime_error: Optional[str]
@@ -113,47 +105,6 @@ class OracleOutcome:
 
 
 # -- empirical check ---------------------------------------------------------
-
-
-def _exhaustive_within_budget(
-    program: Command,
-    groups: Sequence[Sequence[dict]],
-    budget: int,
-    observe,
-) -> Optional[tuple[NIReport, Optional[float]]]:
-    """Exhaustive Def. 2.1 check and the leak size in bits (``None``
-    when secure), or ``None`` if some variant's reachable state space
-    exceeds ``budget`` explored configurations (a *completed* exploration
-    is required — a truncated one could miss outputs asymmetrically
-    across variants and fabricate witnesses).  Counts executions as
-    :class:`NIReport` does: distinct final states.  Raises on an abort
-    and on a variant with no terminating execution."""
-    total = 0
-    for variants in groups:
-        seen: dict = {}
-        per_variant = set()
-        for inputs in variants:
-            initial = Config(program, State.make(dict(inputs)))
-            observed = set()
-            try:
-                for final in enumerate_executions(initial, max_steps=50_000, max_states=budget):
-                    if final is ABORT:
-                        raise AbortError(f"program aborts on inputs {inputs!r}")
-                    total += 1
-                    visible = observe(final.state.output)
-                    observed.add(visible)
-                    seen.setdefault(visible, inputs)
-            except StateBudgetExceeded:
-                return None
-            if not observed:
-                raise RuntimeError(f"deadlock on inputs {inputs!r}: no execution terminates")
-            per_variant.add(frozenset(observed))
-        if len(seen) > 1:
-            ordered = sorted(seen.items(), key=lambda item: repr(item[0]))
-            (out1, in1), (out2, in2) = ordered[0], ordered[1]
-            witness = Witness(in1, in2, out1, out2, "exhaustive enumeration")
-            return NIReport(False, witness, total), math.log2(len(per_variant))
-    return NIReport(True, None, total), None
 
 
 def _score_leak(
@@ -191,7 +142,6 @@ def check_case(
     case: GeneratedCase,
     session: Optional[SolverSession] = None,
     schedules: int = 10,
-    exhaustive_budget: int = 2000,
     seed: int = 0,
 ) -> OracleOutcome:
     """Run the full differential check on one case."""
@@ -230,25 +180,17 @@ def check_case(
             elapsed=time.perf_counter() - start,
         )
 
-    observe = channel_observer(None)
-    groups = case.instances()
     try:
-        explored = _exhaustive_within_budget(case.program, groups, exhaustive_budget, observe)
-        if explored is not None:
-            empirical_mode = "exhaustive"
-            report, bits = explored
-        else:
-            empirical_mode = "sampled"
-            report = check_noninterference(
-                case.program, groups, exhaustive=False, schedules=schedules,
-                seed=seed, observe=observe,
-            )
-            bits = None
+        report = check_noninterference(
+            case.program, case.instances(), observe=channel_observer(None),
+            schedules=schedules, seed=seed,
+        )
+        empirical_mode = report.mode
         empirical_secure = report.secure
         executions = report.executions_checked
         witness = report.witness
         if witness is not None:
-            leak_bits, leak_threshold = _score_leak(case, witness, bits)
+            leak_bits, leak_threshold = _score_leak(case, witness, report.leak_bits)
     except Exception as error:  # aborts, deadlocks, ill-typed pure calls
         runtime_error = f"{type(error).__name__}: {error}"
 

@@ -23,26 +23,36 @@ the exhaustive check raises ``RuntimeError`` for it, as
 :func:`~repro.lang.interpreter.run` does on a deadlock — it never passes
 vacuously.
 
-The verifier's frontend uses these as the retroactive discharge mechanism
-for obligations (Sec. 2.5's "check when unsharing"): exhaustively within
-a state budget, sampled beyond it.  The test suite uses them as the
-executable counterpart of the Isabelle soundness theorem: whatever the
-verifier accepts must pass these checks.
+:func:`check_noninterference` combines them (exhaustive within
+:data:`STATE_BUDGET`, sampled beyond it) and is the one Def. 2.1 checker:
+the verifier's stage 4 discharges retroactive obligations with it (Sec.
+2.5's "check when unsharing") and the fuzz oracle judges every case with
+it.  The test suite uses these checks as the executable counterpart of
+the Isabelle soundness theorem: whatever the verifier accepts must pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from ..lang.ast import Command
 from ..lang.interpreter import run
 from ..lang.scheduler import RandomScheduler, RoundRobinScheduler, enumerate_executions
+from ..lang.scheduler import StateBudgetExceeded
 from ..lang.semantics import ABORT, Config, State
 
 Observation = tuple  # the program's public output trace
 
 ObserveFn = Callable[[tuple], tuple]
+
+#: Explored configurations allowed per enumeration before
+#: :func:`check_noninterference` falls back to sampled schedules (2.2x
+#: the largest corpus enumeration).  Read at call time.
+STATE_BUDGET = 20_000
+
+_BUDGET: Any = object()  # check_noninterference's default: STATE_BUDGET
 
 
 def observation(trace: tuple, low_channels: Optional[frozenset]) -> tuple:
@@ -93,14 +103,19 @@ class Witness:
 class NIReport:
     """Outcome of a Def. 2.1 check.
 
-    ``executions_checked`` counts, summed over the input variants checked:
-    in exhaustive mode, the distinct reachable final states (store, heap
-    and output) explored; in sampled mode, the scheduled runs.
+    ``mode`` is ``"exhaustive"`` or ``"sampled"``.  ``executions_checked``
+    counts, summed over the input variants checked, the distinct final
+    states (store, heap and output) explored, or the scheduled runs.
+    ``leak_bits``, on an exhaustive refutation only, is log2 of the number
+    of distinct per-variant sets of observations in the witness's group:
+    the possibilistic capacity of the channel on that group.
     """
 
     secure: bool
     witness: Optional[Witness]
     executions_checked: int
+    mode: str
+    leak_bits: Optional[float] = None
 
     def __bool__(self) -> bool:
         return self.secure
@@ -150,17 +165,21 @@ def check_exhaustive(
     """
     observe = observe or (lambda trace: trace)
     seen: dict[Observation, dict] = {}
+    per_variant: set = set()
     checked = 0
     for inputs in input_variants:
         finals = _final_states(program, inputs, max_steps, max_states)
         checked += len(finals)
-        for state in finals:
-            seen.setdefault(observe(state.output), inputs)
+        observed = frozenset(observe(state.output) for state in finals)
+        per_variant.add(observed)
+        for visible in observed:
+            seen.setdefault(visible, inputs)
     if len(seen) <= 1:
-        return NIReport(True, None, checked)
+        return NIReport(True, None, checked, "exhaustive")
     traces = sorted(seen.items(), key=lambda item: repr(item[0]))
     (out1, in1), (out2, in2) = traces[0], traces[1]
-    return NIReport(False, Witness(in1, in2, out1, out2, "exhaustive enumeration"), checked)
+    witness = Witness(in1, in2, out1, out2, "exhaustive enumeration")
+    return NIReport(False, witness, checked, "exhaustive", math.log2(len(per_variant)))
 
 
 def check_sampled(
@@ -194,29 +213,47 @@ def check_sampled(
                     visible,
                     f"sampled schedules (seed base {seed})",
                 )
-                return NIReport(False, witness, checked)
-    return NIReport(True, None, checked)
+                return NIReport(False, witness, checked, "sampled")
+    return NIReport(True, None, checked, "sampled")
 
 
 def check_noninterference(
     program: Command,
     instances: Iterable[Sequence[dict]],
-    exhaustive: bool = False,
+    observe: Optional[ObserveFn] = None,
+    max_states: Optional[int] = _BUDGET,
     schedules: int = 25,
     seed: int = 0,
-    observe: Optional[ObserveFn] = None,
-    max_states: Optional[int] = None,
 ) -> NIReport:
-    """Check several instances (each a list of input variants with equal
-    low inputs); secure iff every instance is secure.  ``max_states``
-    bounds each exhaustive enumeration (ignored when sampling)."""
+    """Def. 2.1 over several instances (each a list of input variants
+    with equal low inputs); secure iff every instance is secure.
+
+    Exhaustive when every enumeration completes within ``max_states``
+    (default :data:`STATE_BUDGET`; ``None`` is unbounded); a truncated
+    one could miss outputs asymmetrically and fabricate a witness, so
+    beyond it the whole check is rerun on ``schedules`` seeded random
+    schedules per variant.  The report's ``mode`` names the deciding
+    check."""
+    groups = [tuple(variants) for variants in instances]
+    budget = STATE_BUDGET if max_states is _BUDGET else max_states
+    try:
+        return _first_refutation(
+            (check_exhaustive(program, v, observe=observe, max_states=budget) for v in groups),
+            "exhaustive",
+        )
+    except StateBudgetExceeded:
+        return _first_refutation(
+            (check_sampled(program, v, schedules, seed, observe=observe) for v in groups),
+            "sampled",
+        )
+
+
+def _first_refutation(reports: Iterable[NIReport], mode: str) -> NIReport:
+    """The first insecure report, counting the executions of every group
+    checked so far; a secure report if there is none."""
     total = 0
-    for variants in instances:
-        if exhaustive:
-            report = check_exhaustive(program, variants, observe=observe, max_states=max_states)
-        else:
-            report = check_sampled(program, variants, schedules=schedules, seed=seed, observe=observe)
+    for report in reports:
         total += report.executions_checked
         if not report.secure:
-            return NIReport(False, report.witness, total)
-    return NIReport(True, None, total)
+            return replace(report, executions_checked=total)
+    return NIReport(True, None, total, mode)

@@ -13,9 +13,10 @@
    constraints) are discharged with the bounded relational checker of
    :mod:`repro.security.noninterference` on caller-supplied instances —
    the executable counterpart of the paper's check-at-unshare mechanism.
-   Every reachable final state of each instance is explored when its
-   reduced state space fits :data:`STAGE4_STATE_BUDGET`; sampled
-   schedules decide only beyond it.
+   :func:`~repro.security.noninterference.check_noninterference` explores
+   every reachable final state of each instance when its reduced state
+   space fits the checker's state budget; sampled schedules decide only
+   beyond it.  A check that ran no execution discharges nothing.
 
 The verdict is ``verified`` only when every stage passes; every failure
 carries a human-readable reason, and counterexamples are concrete.
@@ -29,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 if TYPE_CHECKING:  # imported lazily at run time: repro.analysis imports us
     from ..analysis.prepass import PrepassReport
 
-from ..lang.scheduler import StateBudgetExceeded
+from ..security import noninterference
 from ..security.noninterference import NIReport, channel_observer, check_noninterference
 from ..smt.session import SolverSession
 from ..spec.validity import ValidityReport, check_validity_batch
@@ -38,11 +39,6 @@ from .conformance import ConformanceReport, check_conformance
 from .declarations import ProgramSpec
 
 InstanceGenerator = Callable[[], Sequence[Sequence[dict]]]
-
-#: Explored configurations allowed per enumeration when stage 4 runs
-#: exhaustively by default (2.2x the largest corpus enumeration); over
-#: it, stage 4 falls back to sampled schedules.
-STAGE4_STATE_BUDGET = 20_000
 
 #: One shared solver session per *worker process* for parallel
 #: conformance discharge: obligations shipped to the same worker reuse
@@ -172,13 +168,12 @@ def verify(
     definitions from one batch to the next.
 
     Stage 4 discharges retroactive obligations on ``bounded_instances``
-    by exploring every reachable final state of each input variant with
-    the partial-order-reduced explorer, within
-    :data:`STAGE4_STATE_BUDGET` configurations per enumeration; if one
-    exceeds it, the whole check is rerun on sampled schedules.  Each
+    with :func:`~repro.security.noninterference.check_noninterference`:
+    exhaustive within its state budget, sampled beyond it.  Each
     obligation's ``method`` names the mode that decided.
     ``exhaustive_discharge=True`` demands the exhaustive check with no
-    budget and no fallback.
+    budget and no fallback.  Instances with no execution to check are
+    rejected like missing instances.
 
     ``static_prepass`` (default on) runs the sound static pre-verification
     of :mod:`repro.analysis` after stage 2: when the lockset race detector
@@ -314,26 +309,29 @@ def verify(
     ni_report: Optional[NIReport] = None
     obligations = list(analysis.obligations)
     if obligations and not errors:
-        if bounded_instances is None:
+        if bounded_instances is not None:
+            ni_report = check_noninterference(
+                program_spec.program,
+                bounded_instances(),
+                observe=channel_observer(program_spec.low_channels),
+                max_states=None if exhaustive_discharge else noninterference.STATE_BUDGET,
+            )
+        if ni_report is None or ni_report.executions_checked == 0:
             errors.append(
                 f"{len(obligations)} retroactive obligation(s) and no bounded instances "
                 f"supplied to discharge them"
             )
-        else:
-            ni_report, method = _check_stage4(
-                program_spec.program,
-                list(bounded_instances()),
-                channel_observer(program_spec.low_channels),
-                exhaustive_discharge,
-            )
-            if ni_report.secure:
-                for obligation in obligations:
-                    obligation.discharged = True
-                    obligation.method = method
-            else:
-                errors.append(
-                    f"retroactive obligations refuted by bounded checking: {ni_report.witness}"
+        elif ni_report.secure:
+            exhaustive = ni_report.mode == "exhaustive"
+            for obligation in obligations:
+                obligation.discharged = True
+                obligation.method = (
+                    "exhaustive interleaving check" if exhaustive else "sampled schedules"
                 )
+        else:
+            errors.append(
+                f"retroactive obligations refuted by bounded checking: {ni_report.witness}"
+            )
 
     verified = not errors
     return VerificationResult(
@@ -348,17 +346,3 @@ def verify(
         prepass=prepass_report,
     )
 
-
-def _check_stage4(program, instances, observe, exhaustive_only: bool) -> tuple:
-    """Stage 4's report and the mode that decided it: exhaustive within
-    :data:`STAGE4_STATE_BUDGET` (unbounded when ``exhaustive_only``),
-    sampled schedules when the budget is exceeded."""
-    budget = None if exhaustive_only else STAGE4_STATE_BUDGET
-    try:
-        report = check_noninterference(
-            program, instances, exhaustive=True, observe=observe, max_states=budget
-        )
-        return report, "exhaustive interleaving check"
-    except StateBudgetExceeded:
-        report = check_noninterference(program, instances, exhaustive=False, observe=observe)
-        return report, "sampled schedules"

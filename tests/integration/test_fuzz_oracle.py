@@ -29,7 +29,8 @@ from repro.fuzz import (
 from repro.fuzz import oracle
 from repro.lang.parser import parse_program
 from repro.security import all_outputs
-from repro.security.noninterference import channel_observer
+from repro.security import noninterference
+from repro.security.noninterference import channel_observer, check_noninterference
 from repro.smt.session import SolverSession
 
 
@@ -144,13 +145,14 @@ def test_oracle_outcome_fields_are_coherent(session):
 
 
 @pytest.mark.parametrize("index", [0, 1], ids=["leaky", "secure"])
-def test_sampled_fallback_agrees_with_exhaustive(session, index):
+def test_sampled_fallback_agrees_with_exhaustive(session, monkeypatch, index):
     """A budget of one explored state forces the random-schedule fallback;
     it must reach the same empirical verdict as the exhaustive explorer
     (case 0 of this seed leaks, case 1 is secure)."""
     case = generate_case(20240808, index)
     exhaustive = check_case(case, session=session)
-    sampled = check_case(case, session=session, exhaustive_budget=1)
+    monkeypatch.setattr(noninterference, "STATE_BUDGET", 1)
+    sampled = check_case(case, session=session)
     assert exhaustive.empirical_mode == "exhaustive"
     assert sampled.empirical_mode == "sampled"
     assert sampled.empirical_secure == exhaustive.empirical_secure
@@ -172,9 +174,7 @@ def test_deadlocked_variant_is_a_runtime_error_not_a_pass(session):
     the exhaustive leg raises, as a deadlocked ``run`` does."""
     program = parse_program("x := 0\nprint(h)\n{ atomic when (x == 1) { y := 1 } } || { skip }")
     with pytest.raises(RuntimeError, match="deadlock"):
-        oracle._exhaustive_within_budget(
-            program, [[{"h": 0}, {"h": 1}]], 2000, channel_observer(None)
-        )
+        check_noninterference(program, [[{"h": 0}, {"h": 1}]], observe=channel_observer(None))
     outcome = check_case(generate_case(20240808, 1).with_program(program), session=session)
     assert outcome.empirical_secure is None
     assert "deadlock" in outcome.runtime_error
@@ -197,7 +197,7 @@ def test_exhaustive_leak_bits_come_from_the_explored_sets(session, monkeypatch):
     group = next(
         variants
         for variants in case.instances()
-        if not oracle._exhaustive_within_budget(case.program, [variants], 2000, observe)[0].secure
+        if not check_noninterference(case.program, [variants], observe=observe).secure
     )
     per_variant = {frozenset(all_outputs(case.program, inputs)) for inputs in group}
     assert outcome.leak_bits == math.log2(len(per_variant))

@@ -1,10 +1,13 @@
 """Unit tests for the empirical non-interference and leakage modules."""
 
+import math
+
 import pytest
 
 from repro.lang.interpreter import run
 from repro.lang.parser import parse_program
 from repro.lang.scheduler import FixedScheduler
+from repro.security import noninterference
 from repro.security import (
     all_outputs,
     check_exhaustive,
@@ -107,6 +110,65 @@ class TestSampled:
     def test_check_noninterference_over_groups(self):
         report = check_noninterference(COMMUTING, [[{"h": 0}, {"h": 5}], [{"h": 1}, {"h": 9}]])
         assert report.secure
+        assert report.executions_checked > 0
+
+
+class TestCheckNoninterference:
+    """The one Def. 2.1 checker: exhaustive within the state budget,
+    sampled beyond it."""
+
+    GROUPS = [[{"h": 0}, {"h": 2}], [{"h": 1}, {"h": 3}]]
+
+    # Every schedule prints the secret: sampling finds it too.
+    DIRECT = parse_program("{ x := h } || { skip }\nprint(x)")
+
+    @pytest.mark.parametrize("program", [DIRECT, COMMUTING], ids=["direct", "commuting"])
+    def test_over_budget_falls_back_to_sampling_with_the_same_verdict(
+        self, monkeypatch, program
+    ):
+        exhaustive = check_noninterference(program, self.GROUPS)
+        monkeypatch.setattr(noninterference, "STATE_BUDGET", 1)
+        sampled = check_noninterference(program, self.GROUPS)
+        assert exhaustive.mode == "exhaustive"
+        assert sampled.mode == "sampled"
+        assert sampled.secure == exhaustive.secure
+        assert sampled.leak_bits is None
+
+    def test_unbounded_ignores_the_budget(self, monkeypatch):
+        monkeypatch.setattr(noninterference, "STATE_BUDGET", 1)
+        report = check_noninterference(COMMUTING, self.GROUPS, max_states=None)
+        assert report.mode == "exhaustive" and report.secure
+
+    @pytest.mark.parametrize("program", [DIRECT, RACY], ids=["direct", "racy"])
+    def test_exhaustive_refutation_sizes_the_leak(self, program):
+        # DIRECT: three distinct observation sets (log2 3 bits); RACY: one
+        # set for every secret, a pure scheduler channel (0 bits).
+        variants = [{"h": 0}, {"h": 1}, {"h": 2}]
+        report = check_noninterference(program, [variants])
+        assert report.mode == "exhaustive" and not report.secure
+        per_variant = {frozenset(all_outputs(program, inputs)) for inputs in variants}
+        assert report.leak_bits == math.log2(len(per_variant))
+
+    def test_secure_report_has_no_leak_bits(self):
+        report = check_noninterference(COMMUTING, self.GROUPS)
+        assert report.secure and report.leak_bits is None
+
+    def test_executions_are_summed_up_to_the_refuting_group(self):
+        first, second = (check_noninterference(COMMUTING, [group]) for group in self.GROUPS)
+        both = check_noninterference(COMMUTING, self.GROUPS)
+        assert both.executions_checked == first.executions_checked + second.executions_checked
+        refuted = check_noninterference(RACY, [[{"h": 1}], [{"h": 0}, {"h": 2}]])
+        assert refuted.executions_checked == check_exhaustive(RACY, [{"h": 1}]).executions_checked
+
+    def test_deadlocked_variant_raises(self):
+        with pytest.raises(RuntimeError, match="deadlock"):
+            check_noninterference(DEADLOCKED, [[{"h": 0}, {"h": 1}]])
+
+    def test_instances_are_materialized_once(self):
+        # A one-shot iterator still reaches the sampled rerun.
+        groups = iter([iter([{"h": 0}, {"h": 5}])])
+        report = check_noninterference(COMMUTING, groups, max_states=1)
+        assert report.mode == "sampled" and report.secure
         assert report.executions_checked > 0
 
 
