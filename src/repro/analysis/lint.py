@@ -39,17 +39,15 @@ from ..lang.ast import (
     Join,
     Lit,
     Load,
-    Par,
     Print,
     Seq,
-    Share,
     Skip,
     Store,
-    Unshare,
     Var,
     While,
     command_fv,
     expr_fv,
+    walk,
 )
 from ..lang.desugar import threaded_equivalent
 from ..lang.parser import ParseError, parse_threaded_program
@@ -127,23 +125,6 @@ def lint_rule(code: str, summary: str):
 # =============================================================================
 
 
-def _each_command(cmd: Command):
-    yield cmd
-    if isinstance(cmd, Seq):
-        yield from _each_command(cmd.first)
-        yield from _each_command(cmd.second)
-    elif isinstance(cmd, If):
-        yield from _each_command(cmd.then_branch)
-        yield from _each_command(cmd.else_branch)
-    elif isinstance(cmd, While):
-        yield from _each_command(cmd.body)
-    elif isinstance(cmd, Par):
-        yield from _each_command(cmd.left)
-        yield from _each_command(cmd.right)
-    elif isinstance(cmd, Atomic):
-        yield from _each_command(cmd.body)
-
-
 def _read_exprs(cmd: Command) -> List[Expr]:
     """Expressions evaluated (read) by one command, non-recursively."""
     if isinstance(cmd, Assign):
@@ -176,7 +157,7 @@ def _read_exprs(cmd: Command) -> List[Expr]:
 
 def _reads(cmd: Command) -> frozenset:
     result: frozenset = frozenset()
-    for node in _each_command(cmd):
+    for node in walk(cmd):
         for expr in _read_exprs(node):
             result |= expr_fv(expr)
     return result
@@ -207,7 +188,7 @@ def _rule_unused_variable(target: LintTarget) -> Iterable[Diagnostic]:
     for scope, cmd in target.commands():
         reads = _reads(cmd)
         first_write: Dict[str, Command] = {}
-        for node in _each_command(cmd):
+        for node in walk(cmd):
             if isinstance(node, (Assign, Load, Alloc, Fork)) and node.target not in first_write:
                 first_write[node.target] = node
         for name, node in first_write.items():
@@ -225,7 +206,7 @@ def _rule_unused_variable(target: LintTarget) -> Iterable[Diagnostic]:
 @lint_rule("L002", "unreachable code after a non-terminating loop")
 def _rule_dead_code(target: LintTarget) -> Iterable[Diagnostic]:
     for _, cmd in target.commands():
-        for node in _each_command(cmd):
+        for node in walk(cmd):
             if (
                 isinstance(node, Seq)
                 and isinstance(node.first, While)
@@ -262,12 +243,12 @@ def _rule_shadowing(target: LintTarget) -> Iterable[Diagnostic]:
 @lint_rule("L004", "annotated atomic block never touches the shared cell")
 def _rule_atomic_without_access(target: LintTarget) -> Iterable[Diagnostic]:
     for _, cmd in target.commands():
-        for node in _each_command(cmd):
+        for node in walk(cmd):
             if not isinstance(node, Atomic) or node.action is None:
                 continue
             accessed = [
                 inner
-                for inner in _each_command(node.body)
+                for inner in walk(node.body)
                 if isinstance(inner, (Load, Store))
             ]
             location: Optional[str] = None
@@ -297,8 +278,8 @@ def _rule_atomic_without_access(target: LintTarget) -> Iterable[Diagnostic]:
 @lint_rule("L005", "fork without a matching join")
 def _rule_fork_without_join(target: LintTarget) -> Iterable[Diagnostic]:
     for _, cmd in target.commands():
-        joins: List[Join] = [n for n in _each_command(cmd) if isinstance(n, Join)]
-        for node in _each_command(cmd):
+        joins: List[Join] = [n for n in walk(cmd) if isinstance(n, Join)]
+        for node in walk(cmd):
             if not isinstance(node, Fork):
                 continue
             matched = any(
@@ -323,7 +304,7 @@ def _rule_unapplied_low_views(target: LintTarget) -> Iterable[Diagnostic]:
         return
     applied: List[str] = []
     for _, cmd in target.commands():
-        for node in _each_command(cmd):
+        for node in walk(cmd):
             for expr in _read_exprs(node):
                 applied.extend(_calls(expr))
     for decl in target.spec.resources:

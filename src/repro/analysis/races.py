@@ -55,6 +55,7 @@ from ..lang.ast import (
     Unshare,
     Var,
     While,
+    walk,
 )
 from ..verifier.declarations import ProgramSpec
 from .diagnostics import Diagnostic, diagnostic_at
@@ -137,20 +138,7 @@ def collect_accesses(cmd: Command, lockset: frozenset = frozenset()) -> List[Hea
 
 def _each_par(cmd: Command):
     """Yield every ``Par`` node in ``cmd`` (pre-order)."""
-    if isinstance(cmd, Seq):
-        yield from _each_par(cmd.first)
-        yield from _each_par(cmd.second)
-    elif isinstance(cmd, If):
-        yield from _each_par(cmd.then_branch)
-        yield from _each_par(cmd.else_branch)
-    elif isinstance(cmd, While):
-        yield from _each_par(cmd.body)
-    elif isinstance(cmd, Atomic):
-        yield from _each_par(cmd.body)
-    elif isinstance(cmd, Par):
-        yield cmd
-        yield from _each_par(cmd.left)
-        yield from _each_par(cmd.right)
+    return (node for node in walk(cmd) if isinstance(node, Par))
 
 
 def _lockset_races(cmd: Command, source: str) -> List[Diagnostic]:
@@ -257,20 +245,9 @@ def _shared_cell_discipline(
 
 
 def _actions_used(cmd: Command) -> frozenset:
-    if isinstance(cmd, Atomic):
-        used = _actions_used(cmd.body)
-        if cmd.action is not None:
-            used |= {cmd.action}
-        return used
-    if isinstance(cmd, Seq):
-        return _actions_used(cmd.first) | _actions_used(cmd.second)
-    if isinstance(cmd, If):
-        return _actions_used(cmd.then_branch) | _actions_used(cmd.else_branch)
-    if isinstance(cmd, While):
-        return _actions_used(cmd.body)
-    if isinstance(cmd, Par):
-        return _actions_used(cmd.left) | _actions_used(cmd.right)
-    return frozenset()
+    return frozenset(
+        node.action for node in walk(cmd) if isinstance(node, Atomic) and node.action is not None
+    )
 
 
 def _unique_action_splits(cmd: Command, spec: ProgramSpec, source: str) -> List[Diagnostic]:

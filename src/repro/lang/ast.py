@@ -14,6 +14,9 @@ runtime no-ops or simple effects:
 
 All nodes are immutable dataclasses; ``fv`` and ``mod`` implement the
 free-variable and modified-variable functions used by the proof rules.
+:func:`walk` (pre-order over every command node) and :func:`map_command`
+(rebuild with its expressions and assigned names mapped) are the generic
+traversals the desugarer, procedure substitution and lint passes share.
 
 Every node carries an optional :class:`SourcePos` in its ``pos`` field.
 The parser stamps positions; programmatically-built ASTs leave them
@@ -24,7 +27,7 @@ parsed node still compares equal to the same node built by hand.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, Iterator, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -479,6 +482,76 @@ def command_mod(cmd: Command) -> frozenset[str]:
         return command_mod(cmd.left) | command_mod(cmd.right)
     if isinstance(cmd, Atomic):
         return command_mod(cmd.body)
+    raise TypeError(f"not a command: {cmd!r}")
+
+
+# =============================================================================
+# Traversal
+# =============================================================================
+
+
+def walk(cmd: Command) -> Iterator[Command]:
+    """Every command node of ``cmd`` in pre-order, atomic bodies included."""
+    stack = [cmd]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Seq):
+            stack += (node.second, node.first)
+        elif isinstance(node, Par):
+            stack += (node.right, node.left)
+        elif isinstance(node, If):
+            stack += (node.else_branch, node.then_branch)
+        elif isinstance(node, (While, Atomic)):
+            stack.append(node.body)
+
+
+def _same(name: str) -> str:
+    return name
+
+
+def map_command(
+    cmd: Command,
+    expr_fn: Callable[[Expr], Expr],
+    target_fn: Callable[[str], str] = _same,
+) -> Command:
+    """``cmd`` rebuilt with ``expr_fn`` applied to every expression it
+    evaluates (atomic annotations and guards included) and ``target_fn``
+    to every variable it assigns.  Procedure, channel and resource names
+    are kept; rebuilt nodes carry no source position."""
+
+    def go(sub: Command) -> Command:
+        return map_command(sub, expr_fn, target_fn)
+
+    def opt(expr: Optional[Expr]) -> Optional[Expr]:
+        return None if expr is None else expr_fn(expr)
+
+    if isinstance(cmd, (Skip, Share, Unshare)):
+        return cmd
+    if isinstance(cmd, Assign):
+        return Assign(target_fn(cmd.target), expr_fn(cmd.expr))
+    if isinstance(cmd, Load):
+        return Load(target_fn(cmd.target), expr_fn(cmd.address))
+    if isinstance(cmd, Store):
+        return Store(expr_fn(cmd.address), expr_fn(cmd.expr))
+    if isinstance(cmd, Alloc):
+        return Alloc(target_fn(cmd.target), expr_fn(cmd.expr))
+    if isinstance(cmd, Seq):
+        return Seq(go(cmd.first), go(cmd.second))
+    if isinstance(cmd, If):
+        return If(expr_fn(cmd.condition), go(cmd.then_branch), go(cmd.else_branch))
+    if isinstance(cmd, While):
+        return While(expr_fn(cmd.condition), go(cmd.body))
+    if isinstance(cmd, Par):
+        return Par(go(cmd.left), go(cmd.right))
+    if isinstance(cmd, Atomic):
+        return Atomic(go(cmd.body), cmd.action, opt(cmd.argument), opt(cmd.when))
+    if isinstance(cmd, Print):
+        return Print(expr_fn(cmd.expr), cmd.channel)
+    if isinstance(cmd, Fork):
+        return Fork(target_fn(cmd.target), cmd.procedure, tuple(map(expr_fn, cmd.args)))
+    if isinstance(cmd, Join):
+        return Join(cmd.procedure, expr_fn(cmd.token))
     raise TypeError(f"not a command: {cmd!r}")
 
 

@@ -27,42 +27,36 @@ faithful).  The reduction checks the side conditions that make it sound:
 * fork argument expressions are not modified between the fork and its
   join (they are snapshots taken at fork time).
 
-:func:`threaded_equivalent` packages the reduction for the verifier; the
-runtime machine (:mod:`repro.lang.threads`) and this reduction are
-cross-validated by enumerating all interleavings of both on small
-programs (``tests/unit/test_threads.py``).
+:func:`threaded_equivalent` packages the reduction for the verifier.  The
+runtime for fork/join is the thread pool of :mod:`repro.lang.threads`, a
+driver over the same step relation (:mod:`repro.lang.semantics`) that the
+reduced program runs on; the two are cross-validated by enumerating all
+interleavings of both on small programs and on the catalogue's fork/join
+case studies (``tests/unit/test_threads.py``,
+``tests/integration/test_threaded_cases.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping
 
 from .ast import (
-    Alloc,
-    Assign,
-    Atomic,
     Command,
     Expr,
     Fork,
-    If,
     Join,
-    Load,
-    Par,
-    Print,
     Seq,
-    Share,
     Skip,
-    Store,
-    Unshare,
     Var,
-    While,
     command_fv,
     command_mod,
     expr_fv,
     expr_subst,
+    map_command,
     par_all,
     seq_all,
+    walk,
 )
 from .procedures import ProcedureError, ThreadedProgram
 
@@ -85,51 +79,11 @@ def rename_expr(expr: Expr, mapping: Mapping[str, str]) -> Expr:
 
 def rename_vars(cmd: Command, mapping: Mapping[str, str]) -> Command:
     """Rename variables (both reads and writes) according to ``mapping``."""
-
-    def ren(name: str) -> str:
-        return mapping.get(name, name)
-
-    def rex(expr: Expr) -> Expr:
-        return rename_expr(expr, mapping)
-
-    if isinstance(cmd, Skip):
-        return cmd
-    if isinstance(cmd, Assign):
-        return Assign(ren(cmd.target), rex(cmd.expr))
-    if isinstance(cmd, Load):
-        return Load(ren(cmd.target), rex(cmd.address))
-    if isinstance(cmd, Store):
-        return Store(rex(cmd.address), rex(cmd.expr))
-    if isinstance(cmd, Alloc):
-        return Alloc(ren(cmd.target), rex(cmd.expr))
-    if isinstance(cmd, Seq):
-        return Seq(rename_vars(cmd.first, mapping), rename_vars(cmd.second, mapping))
-    if isinstance(cmd, If):
-        return If(
-            rex(cmd.condition),
-            rename_vars(cmd.then_branch, mapping),
-            rename_vars(cmd.else_branch, mapping),
-        )
-    if isinstance(cmd, While):
-        return While(rex(cmd.condition), rename_vars(cmd.body, mapping))
-    if isinstance(cmd, Par):
-        return Par(rename_vars(cmd.left, mapping), rename_vars(cmd.right, mapping))
-    if isinstance(cmd, Atomic):
-        return Atomic(
-            rename_vars(cmd.body, mapping),
-            cmd.action,
-            rex(cmd.argument) if cmd.argument is not None else None,
-            rex(cmd.when) if cmd.when is not None else None,
-        )
-    if isinstance(cmd, (Share, Unshare)):
-        return cmd
-    if isinstance(cmd, Print):
-        return Print(rex(cmd.expr), cmd.channel)
-    if isinstance(cmd, Fork):
-        return Fork(ren(cmd.target), cmd.procedure, tuple(rex(arg) for arg in cmd.args))
-    if isinstance(cmd, Join):
-        return Join(cmd.procedure, rex(cmd.token))
-    raise TypeError(f"not a command: {cmd!r}")
+    return map_command(
+        cmd,
+        lambda expr: rename_expr(expr, mapping),
+        lambda name: mapping.get(name, name),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -267,19 +221,7 @@ def forks_to_par(program: ThreadedProgram) -> Command:
 
 
 def _has_fork_join(cmd: Command) -> bool:
-    if isinstance(cmd, (Fork, Join)):
-        return True
-    if isinstance(cmd, Seq):
-        return _has_fork_join(cmd.first) or _has_fork_join(cmd.second)
-    if isinstance(cmd, If):
-        return _has_fork_join(cmd.then_branch) or _has_fork_join(cmd.else_branch)
-    if isinstance(cmd, While):
-        return _has_fork_join(cmd.body)
-    if isinstance(cmd, Par):
-        return _has_fork_join(cmd.left) or _has_fork_join(cmd.right)
-    if isinstance(cmd, Atomic):
-        return _has_fork_join(cmd.body)
-    return False
+    return any(isinstance(node, (Fork, Join)) for node in walk(cmd))
 
 
 def threaded_equivalent(program: ThreadedProgram) -> Command:

@@ -14,6 +14,11 @@ class AbortError(Exception):
     """The program reached the ``abort`` configuration (memory fault)."""
 
 
+class DeadlockError(RuntimeError):
+    """No thread can move but the program is not final (every thread
+    blocked on an atomic guard, or on a join that can never fire)."""
+
+
 @dataclass(frozen=True)
 class RunResult:
     """Outcome of a terminated execution."""
@@ -44,8 +49,9 @@ def run(
 ) -> RunResult:
     """Run ``program`` from the given inputs under ``scheduler``.
 
-    Raises :class:`AbortError` on a memory fault and RuntimeError if the
-    step budget is exhausted (likely divergence).
+    Raises :class:`AbortError` on a memory fault, :class:`DeadlockError`
+    when every thread is blocked, and RuntimeError if the step budget is
+    exhausted (likely divergence).
     """
     scheduler = scheduler or left_first
     config = Config(program, State.make(inputs, heap))
@@ -55,7 +61,7 @@ def run(
             return RunResult(config.state, count, tuple(schedule))
         successors = step(config)
         if not successors:
-            raise RuntimeError(
+            raise DeadlockError(
                 f"deadlock after {count} steps: all threads blocked on atomic guards"
             )
         index = scheduler(config, successors)

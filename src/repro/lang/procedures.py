@@ -9,9 +9,12 @@ provides the declaration side of that richer language:
   forkable worker, e.g. ``worker(households, f, t, m)`` of Fig. 3);
 * :class:`ThreadedProgram` — a main command plus its procedure table.
 
-The runtime for ``fork``/``join`` lives in :mod:`repro.lang.threads`; the
-static reduction to the paper's structured ``||`` (used by the verifier)
-lives in :mod:`repro.lang.desugar`.
+The runtime for ``fork``/``join`` is the thread pool of
+:mod:`repro.lang.threads`, which steps each thread with the structured
+semantics (:mod:`repro.lang.semantics`) and performs only the
+``fork``/``join`` redexes itself; the static reduction to the paper's
+structured ``||`` (used by the verifier) lives in
+:mod:`repro.lang.desugar`.
 """
 
 from __future__ import annotations
@@ -19,27 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Tuple
 
-from .ast import (
-    Alloc,
-    Assign,
-    Atomic,
-    Command,
-    Expr,
-    Fork,
-    If,
-    Join,
-    Load,
-    Par,
-    Print,
-    Seq,
-    Share,
-    Skip,
-    Store,
-    Unshare,
-    While,
-    command_fv,
-    expr_subst,
-)
+from .ast import Command, Expr, command_mod, expr_subst, map_command
 
 
 class ProcedureError(Exception):
@@ -66,7 +49,7 @@ class Procedure:
     def instantiate(self, args: Tuple[Expr, ...]) -> Command:
         """The body with parameters substituted by argument *expressions*.
 
-        Used by the static desugarer; the runtime machine instead binds
+        Used by the static desugarer; the thread pool instead binds
         evaluated values into a fresh store (call-by-value).
         """
         if len(args) != len(self.params):
@@ -108,57 +91,9 @@ def command_subst_expr(cmd: Command, name: str, replacement: Expr) -> Command:
     rule exact; a shadowing body raises :class:`ProcedureError` so the
     inexactness can never be silent.
     """
-    if _assigns_to(cmd, name):
+    if name in command_mod(cmd):
         raise ProcedureError(
             f"substitution into a command that assigns {name!r} (shadowing "
             f"parameters is not supported; rename the local)"
         )
-    return _subst(cmd, name, replacement)
-
-
-def _assigns_to(cmd: Command, name: str) -> bool:
-    from .ast import command_mod
-
-    return name in command_mod(cmd)
-
-
-def _subst(cmd: Command, name: str, replacement: Expr) -> Command:
-    sub = lambda e: expr_subst(e, name, replacement)  # noqa: E731
-    if isinstance(cmd, Skip):
-        return cmd
-    if isinstance(cmd, Assign):
-        return Assign(cmd.target, sub(cmd.expr))
-    if isinstance(cmd, Load):
-        return Load(cmd.target, sub(cmd.address))
-    if isinstance(cmd, Store):
-        return Store(sub(cmd.address), sub(cmd.expr))
-    if isinstance(cmd, Alloc):
-        return Alloc(cmd.target, sub(cmd.expr))
-    if isinstance(cmd, Seq):
-        return Seq(_subst(cmd.first, name, replacement), _subst(cmd.second, name, replacement))
-    if isinstance(cmd, If):
-        return If(
-            sub(cmd.condition),
-            _subst(cmd.then_branch, name, replacement),
-            _subst(cmd.else_branch, name, replacement),
-        )
-    if isinstance(cmd, While):
-        return While(sub(cmd.condition), _subst(cmd.body, name, replacement))
-    if isinstance(cmd, Par):
-        return Par(_subst(cmd.left, name, replacement), _subst(cmd.right, name, replacement))
-    if isinstance(cmd, Atomic):
-        return Atomic(
-            _subst(cmd.body, name, replacement),
-            cmd.action,
-            sub(cmd.argument) if cmd.argument is not None else None,
-            sub(cmd.when) if cmd.when is not None else None,
-        )
-    if isinstance(cmd, (Share, Unshare)):
-        return cmd
-    if isinstance(cmd, Print):
-        return Print(sub(cmd.expr), cmd.channel)
-    if isinstance(cmd, Fork):
-        return Fork(cmd.target, cmd.procedure, tuple(sub(arg) for arg in cmd.args))
-    if isinstance(cmd, Join):
-        return Join(cmd.procedure, sub(cmd.token))
-    raise TypeError(f"not a command: {cmd!r}")
+    return map_command(cmd, lambda expr: expr_subst(expr, name, replacement))

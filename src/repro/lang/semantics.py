@@ -9,6 +9,9 @@ component.
 :func:`step` returns *all* successor configurations, each tagged with the
 scheduling choice that produced it, so schedulers (round-robin, random,
 exhaustive) can be layered on top without touching the semantics.
+``fork``/``join`` (the dynamic threads of Sec. 5) have no step here: the
+thread pool of :mod:`repro.lang.threads` steps each thread with this
+relation and performs those two redexes itself.
 
 Expression evaluation is deterministic and total (Sec. 3.1): reads of
 uninitialized variables yield the default value 0, division by zero yields
@@ -28,7 +31,9 @@ from .ast import (
     Call,
     Command,
     Expr,
+    Fork,
     If,
+    Join,
     Lit,
     Load,
     Par,
@@ -304,7 +309,7 @@ def _step(cmd: Command, state: State, choice: str) -> Iterator[Step]:
             guard = evaluate(cmd.when, state.store_dict(), state.heap_dict())
             if not _truthy(guard):
                 return  # blocked: this thread cannot step (App. D semantics)
-        yield _run_atomic(cmd, state, choice)
+        yield from _run_atomic(cmd, state, choice)
         return
     if isinstance(cmd, (Share, Unshare)):
         yield Step(choice, Config(Skip(), state))
@@ -314,26 +319,32 @@ def _step(cmd: Command, state: State, choice: str) -> Iterator[Step]:
         entry = value if cmd.channel == DEFAULT_CHANNEL else (cmd.channel, value)
         yield Step(choice, Config(Skip(), replace(state, output=state.output + (entry,))))
         return
+    if isinstance(cmd, (Fork, Join)):
+        return  # no step here: the fork/join pool (threads.py) performs these redexes
     raise TypeError(f"not a command: {cmd!r}")
 
 
 _ATOMIC_FUEL = 1_000_000
 
 
-def _run_atomic(cmd: Atomic, state: State, choice: str) -> Step:
+def _run_atomic(cmd: Atomic, state: State, choice: str) -> tuple[Step, ...]:
     """Run an atomic body to completion in one indivisible step (rule Atom).
 
     The body of an atomic block is sequential in all our programs; if it
     contains parallelism we resolve it left-first, which is one of the
-    behaviours admitted by the ``→*`` premise of the Atom rule.
+    behaviours admitted by the ``→*`` premise of the Atom rule.  A body
+    that gets stuck (a nested blocked guard) has no ``→*`` run to ``skip``,
+    so the block has no step, like a false ``when`` guard (App. D).
     """
     config = Config(cmd.body, state)
     for _ in range(_ATOMIC_FUEL):
         if config.is_final():
-            return Step(choice, Config(Skip(), config.state))
+            return (Step(choice, Config(Skip(), config.state)),)
         successors = list(_step(config.command, config.state, ""))
+        if not successors:
+            return ()
         first = successors[0]
         if first.aborted():
-            return Step(choice, ABORT)
+            return (Step(choice, ABORT),)
         config = first.result
     raise RuntimeError("atomic block exceeded fuel (possible divergence)")

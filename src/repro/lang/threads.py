@@ -1,56 +1,43 @@
-"""The dynamic-thread machine: ``fork``/``join`` runtime (Sec. 5).
+"""The dynamic-thread pool: ``fork``/``join`` runtime (Sec. 5).
 
 The paper formalizes structured parallel composition ``c1 || c2``;
 HyperViper's implementation language instead creates threads dynamically
 with ``fork`` and ``join`` (see the App. E example, which forks one worker
 per input segment in a loop).  This module gives that language an
-operational semantics as a *thread-pool machine* layered beside the
-structured semantics of :mod:`repro.lang.semantics`:
+operational semantics as a *thread pool driven by the structured step
+relation*: every command except ``fork``/``join`` steps by
+:mod:`repro.lang.semantics`, so the two languages share one definition of
+Fig. 9.
 
 * every thread has a **private store** (the forked procedure's parameters
   and locals) — all communication goes through the shared heap, as in the
   paper's data-race-free model;
 * the heap, the public output trace, and the allocation counter are
-  **shared** by all threads;
+  **shared** by all threads; a thread steps in the state made of its own
+  store and those shared components;
 * ``fork p(args)`` spawns a thread whose store binds ``p``'s parameters to
   the evaluated arguments and stores a fresh token in the target variable;
 * ``join p(t)`` is enabled only when the thread with token ``t`` has
   terminated (it then reaps the thread);
-* ``atomic`` blocks run to completion in one indivisible step, exactly as
-  in the structured semantics; ``fork``/``join`` inside atomic blocks is
-  rejected (a fork is not a state transformation, so it has no place in an
-  indivisible action).
+* these two redexes are found at the head of a thread's ``Seq``/``Par``
+  spine and performed here; ``fork``/``join`` inside an atomic block is
+  rejected when the pool is built (a fork is not a state transformation,
+  so it has no place in an indivisible action).
 
-The machine exposes the same scheduler interface as the structured
+The pool exposes the same scheduler interface as the structured
 semantics, so the internal-timing-channel experiments can be replayed on
 dynamically created threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Iterator, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Iterator, Optional
 
-from .ast import (
-    Alloc,
-    Assign,
-    Atomic,
-    Command,
-    Fork,
-    If,
-    Join,
-    Load,
-    Par,
-    Print,
-    Seq,
-    Share,
-    Skip,
-    Store,
-    Unshare,
-    While,
-)
-from .procedures import Procedure, ProcedureError, ThreadedProgram
-from .semantics import DEFAULT_VALUE, Config, State, _run_atomic, _truthy, evaluate
+from .ast import Atomic, Command, Fork, Join, Par, Seq, Skip, walk
+from .interpreter import AbortError, DeadlockError
+from .procedures import ProcedureError, ThreadedProgram
+from .semantics import ABORT, State, _step, evaluate
 
 MAIN_TID = 0
 
@@ -76,7 +63,7 @@ class Thread:
 
 @dataclass(frozen=True)
 class TConfig:
-    """A configuration of the thread-pool machine.
+    """A configuration of the thread pool.
 
     ``threads`` always contains the main thread (tid 0) plus all live
     forked threads, in tid order.  ``heap``/``output``/``next_location``
@@ -96,6 +83,12 @@ class TConfig:
         inputs: Optional[dict] = None,
         heap: Optional[dict] = None,
     ) -> "TConfig":
+        """The initial pool; raises :class:`ThreadError` if any atomic
+        block of ``program`` contains a ``fork`` or ``join``."""
+        for body in (program.main, *(proc.body for proc in program.procedures)):
+            for node in walk(body):
+                if isinstance(node, Atomic) and any(isinstance(inner, (Fork, Join)) for inner in walk(node.body)):
+                    raise ThreadError("fork/join inside an atomic block is not allowed")
         inputs = inputs or {}
         heap = heap or {}
         main = Thread(MAIN_TID, program.main, tuple(sorted(inputs.items())))
@@ -121,16 +114,14 @@ class TConfig:
         return all(thread.is_finished() for thread in self.threads)
 
 
-ABORT = "abort"
-
-
 @dataclass(frozen=True)
 class TStep:
     """One successor of a thread-pool configuration.
 
-    ``choice`` is ``"<tid>"`` or ``"<tid>:<path>"`` when the moving thread
-    contains structured parallelism; ``result`` is a :class:`TConfig` or
-    the :data:`ABORT` marker.
+    ``choice`` is the moving thread's tid, followed by the ``L``/``R``
+    path to its redex when that thread contains structured parallelism
+    (``"0"``, ``"0L"``, ...); ``result`` is a :class:`TConfig` or the
+    :data:`~repro.lang.semantics.ABORT` marker.
     """
 
     choice: str
@@ -140,259 +131,82 @@ class TStep:
         return self.result == ABORT
 
 
-@dataclass(frozen=True)
-class _Outcome:
-    """Effect of one small step of a single thread."""
-
-    choice: str
-    command: Command
-    store: tuple
-    heap: tuple
-    output: tuple
-    next_location: int
-    spawn: Optional[tuple] = None  # (procedure_name, arg_values, target_var)
-    reap: Optional[int] = None  # tid consumed by a join
-    aborted: bool = False
-
-
 def tstep(config: TConfig, program: ThreadedProgram) -> list[TStep]:
-    """All one-step successors of ``config`` (empty iff final or deadlocked)."""
-    table = program.table()
-    finished = config.finished_tids()
+    """All one-step successors of ``config`` (empty iff final or deadlocked).
+
+    Each live thread steps by the structured relation on its own store
+    and the shared heap, output and allocation counter; its ``fork`` and
+    ``join`` redexes, which have no step there, are performed here."""
     steps: list[TStep] = []
     for thread in config.threads:
         if thread.is_finished():
             continue
-        for outcome in _thread_step(
-            thread.command,
-            thread.store_dict(),
-            config.heap_dict(),
-            config.output,
-            config.next_location,
-            finished,
-            str(thread.tid),
-        ):
-            if outcome.aborted:
-                steps.append(TStep(outcome.choice, ABORT))
-                continue
-            steps.append(TStep(outcome.choice, _apply(config, thread, outcome, table)))
+        state = State(thread.store, config.heap, config.output, config.next_location)
+        moves = [
+            TStep(move.choice, ABORT if move.aborted() else _moved(config, thread, move.result.command, move.result.state))
+            for move in _step(thread.command, state, str(thread.tid))
+        ]
+        forks_joins = list(_fork_join_steps(config, thread, state, program))
+        if forks_joins:
+            # Left-to-right redex order, the order the structured relation uses.
+            moves = sorted(moves + forks_joins, key=lambda move: move.choice)
+        steps.extend(moves)
     return steps
 
 
-def _apply(config: TConfig, thread: Thread, outcome: _Outcome, table: dict) -> TConfig:
-    threads = list(config.threads)
-    next_tid = config.next_tid
-    index = threads.index(thread)
-    store = dict(outcome.store)
-    if outcome.spawn is not None:
-        proc_name, arg_values, target = outcome.spawn
-        proc = table.get(proc_name)
-        if proc is None:
-            raise ProcedureError(f"fork of undeclared procedure {proc_name!r}")
-        if len(arg_values) != len(proc.params):
-            raise ProcedureError(
-                f"fork {proc_name}: expected {len(proc.params)} arguments, "
-                f"got {len(arg_values)}"
-            )
-        child_store = tuple(sorted(zip(proc.params, arg_values)))
-        threads.append(Thread(next_tid, proc.body, child_store))
-        store[target] = next_tid
-        next_tid += 1
-    threads[index] = Thread(thread.tid, outcome.command, tuple(sorted(store.items())))
-    if outcome.reap is not None:
-        threads = [t for t in threads if t.tid != outcome.reap]
-    return TConfig(
-        threads=tuple(threads),
-        heap=outcome.heap,
-        output=outcome.output,
-        next_location=outcome.next_location,
-        next_tid=next_tid,
-    )
+def _moved(config: TConfig, thread: Thread, command: Command, state: State) -> TConfig:
+    """``config`` after ``thread`` moved to ``command`` in ``state``."""
+    threads = tuple(Thread(t.tid, command, state.store) if t is thread else t for t in config.threads)
+    return replace(config, threads=threads, heap=state.heap, output=state.output, next_location=state.next_location)
 
 
-def _contains_fork_join(cmd: Command) -> bool:
-    if isinstance(cmd, (Fork, Join)):
-        return True
-    if isinstance(cmd, Seq):
-        return _contains_fork_join(cmd.first) or _contains_fork_join(cmd.second)
-    if isinstance(cmd, If):
-        return _contains_fork_join(cmd.then_branch) or _contains_fork_join(cmd.else_branch)
-    if isinstance(cmd, While):
-        return _contains_fork_join(cmd.body)
-    if isinstance(cmd, Par):
-        return _contains_fork_join(cmd.left) or _contains_fork_join(cmd.right)
-    if isinstance(cmd, Atomic):
-        return _contains_fork_join(cmd.body)
-    return False
-
-
-def _thread_step(
-    cmd: Command,
-    store: dict,
-    heap: dict,
-    output: tuple,
-    next_location: int,
-    finished: frozenset[int],
-    choice: str,
-) -> Iterator[_Outcome]:
-    """Small-step a single thread; mirrors Fig. 9 plus Fork/Join."""
-
-    def done(
-        command: Command,
-        *,
-        new_store: Optional[dict] = None,
-        new_heap: Optional[dict] = None,
-        new_output: Optional[tuple] = None,
-        new_next: Optional[int] = None,
-        spawn: Optional[tuple] = None,
-        reap: Optional[int] = None,
-        sub_choice: str = "",
-    ) -> _Outcome:
-        return _Outcome(
-            choice=choice + sub_choice,
-            command=command,
-            store=tuple(sorted((new_store if new_store is not None else store).items())),
-            heap=tuple(sorted((new_heap if new_heap is not None else heap).items())),
-            output=new_output if new_output is not None else output,
-            next_location=new_next if new_next is not None else next_location,
-            spawn=spawn,
-            reap=reap,
-        )
-
-    if isinstance(cmd, Skip):
-        return
-    if isinstance(cmd, Assign):
-        new_store = dict(store)
-        new_store[cmd.target] = evaluate(cmd.expr, store)
-        yield done(Skip(), new_store=new_store)
-        return
-    if isinstance(cmd, Load):
-        address = evaluate(cmd.address, store)
-        if address not in heap:
-            yield _Outcome(choice, cmd, (), (), (), 0, aborted=True)
-            return
-        new_store = dict(store)
-        new_store[cmd.target] = heap[address]
-        yield done(Skip(), new_store=new_store)
-        return
-    if isinstance(cmd, Store):
-        address = evaluate(cmd.address, store)
-        if address not in heap:
-            yield _Outcome(choice, cmd, (), (), (), 0, aborted=True)
-            return
-        new_heap = dict(heap)
-        new_heap[address] = evaluate(cmd.expr, store)
-        yield done(Skip(), new_heap=new_heap)
-        return
-    if isinstance(cmd, Alloc):
-        new_store = dict(store)
-        new_heap = dict(heap)
-        new_heap[next_location] = evaluate(cmd.expr, store)
-        new_store[cmd.target] = next_location
-        yield done(Skip(), new_store=new_store, new_heap=new_heap, new_next=next_location + 1)
-        return
-    if isinstance(cmd, Seq):
-        if isinstance(cmd.first, Skip):
-            yield done(cmd.second)
-            return
-        for outcome in _thread_step(cmd.first, store, heap, output, next_location, finished, choice):
-            if outcome.aborted:
-                yield outcome
-            else:
-                yield replace(outcome, command=Seq(outcome.command, cmd.second))
-        return
-    if isinstance(cmd, If):
-        branch = cmd.then_branch if _truthy(evaluate(cmd.condition, store)) else cmd.else_branch
-        yield done(branch)
-        return
-    if isinstance(cmd, While):
-        yield done(If(cmd.condition, Seq(cmd.body, cmd), Skip()))
-        return
-    if isinstance(cmd, Par):
-        left_done = isinstance(cmd.left, Skip)
-        right_done = isinstance(cmd.right, Skip)
-        if left_done and right_done:
-            yield done(Skip())
-            return
-        if not left_done:
-            for outcome in _thread_step(
-                cmd.left, store, heap, output, next_location, finished, choice + ":L"
-            ):
-                if outcome.aborted:
-                    yield outcome
-                else:
-                    yield replace(outcome, command=Par(outcome.command, cmd.right))
-        if not right_done:
-            for outcome in _thread_step(
-                cmd.right, store, heap, output, next_location, finished, choice + ":R"
-            ):
-                if outcome.aborted:
-                    yield outcome
-                else:
-                    yield replace(outcome, command=Par(cmd.left, outcome.command))
-        return
-    if isinstance(cmd, Atomic):
-        if _contains_fork_join(cmd.body):
-            raise ThreadError("fork/join inside an atomic block is not allowed")
-        if cmd.when is not None:
-            if not _truthy(evaluate(cmd.when, store, heap)):
-                return  # blocked (App. D)
-        state = State(
-            store=tuple(sorted(store.items())),
-            heap=tuple(sorted(heap.items())),
-            output=output,
-            next_location=next_location,
-        )
-        step_result = _run_atomic(cmd, state, choice)
-        if step_result.result == "abort":
-            yield _Outcome(choice, cmd, (), (), (), 0, aborted=True)
-            return
-        config: Config = step_result.result
-        yield done(
-            Skip(),
-            new_store=config.state.store_dict(),
-            new_heap=config.state.heap_dict(),
-            new_output=config.state.output,
-            new_next=config.state.next_location,
-        )
-        return
-    if isinstance(cmd, (Share, Unshare)):
-        yield done(Skip())
-        return
-    if isinstance(cmd, Print):
-        from .ast import DEFAULT_CHANNEL
-
-        value = evaluate(cmd.expr, store)
-        entry = value if cmd.channel == DEFAULT_CHANNEL else (cmd.channel, value)
-        yield done(Skip(), new_output=output + (entry,))
-        return
-    if isinstance(cmd, Fork):
-        arg_values = tuple(evaluate(arg, store) for arg in cmd.args)
-        yield done(Skip(), spawn=(cmd.procedure, arg_values, cmd.target))
-        return
-    if isinstance(cmd, Join):
-        token = evaluate(cmd.token, store)
+def _fork_join_steps(config: TConfig, thread: Thread, state: State, program: ThreadedProgram) -> Iterator[TStep]:
+    """The steps of ``thread``'s ``fork``/``join`` redexes: a fork spawns
+    thread ``next_tid``; a join reaps a finished thread and has no step
+    while its target is live."""
+    store = thread.store_dict()
+    for choice, redex, rest in _fork_join_redexes(thread.command, str(thread.tid)):
+        if isinstance(redex, Fork):
+            proc = program.table().get(redex.procedure)
+            if proc is None:
+                raise ProcedureError(f"fork of undeclared procedure {redex.procedure!r}")
+            arg_values = tuple(evaluate(arg, store) for arg in redex.args)
+            if len(arg_values) != len(proc.params):
+                raise ProcedureError(
+                    f"fork {redex.procedure}: expected {len(proc.params)} arguments, got {len(arg_values)}"
+                )
+            tid = config.next_tid
+            child = Thread(tid, proc.body, tuple(sorted(zip(proc.params, arg_values))))
+            moved = _moved(config, thread, rest, state.with_store({**store, redex.target: tid}))
+            yield TStep(choice, replace(moved, threads=moved.threads + (child,), next_tid=tid + 1))
+            continue
+        token = evaluate(redex.token, store)
         if isinstance(token, bool) or not isinstance(token, int):
-            raise ThreadError(f"join {cmd.procedure}: token value {token!r} is not a thread id")
-        if token not in finished:
-            return  # blocked until the target thread terminates
-        yield done(Skip(), reap=token)
-        return
-    raise TypeError(f"not a command: {cmd!r}")
+            raise ThreadError(f"join {redex.procedure}: token value {token!r} is not a thread id")
+        if token in config.finished_tids():  # otherwise blocked until it terminates
+            moved = _moved(config, thread, rest, state)
+            yield TStep(choice, replace(moved, threads=tuple(t for t in moved.threads if t.tid != token)))
+
+
+def _fork_join_redexes(cmd: Command, path: str) -> Iterator[tuple[str, Command, Command]]:
+    """``(choice, redex, rest)`` for each ``fork``/``join`` at the head of
+    the ``Seq``/``Par`` spine of ``cmd``; ``rest`` is ``cmd`` with that
+    redex replaced by ``skip``."""
+    if isinstance(cmd, (Fork, Join)):
+        yield path, cmd, Skip()
+    elif isinstance(cmd, Seq):
+        for choice, redex, rest in _fork_join_redexes(cmd.first, path):
+            yield choice, redex, Seq(rest, cmd.second)
+    elif isinstance(cmd, Par):
+        for choice, redex, rest in _fork_join_redexes(cmd.left, path + "L"):
+            yield choice, redex, Par(rest, cmd.right)
+        for choice, redex, rest in _fork_join_redexes(cmd.right, path + "R"):
+            yield choice, redex, Par(cmd.left, rest)
 
 
 # ---------------------------------------------------------------------------
 # Drivers
 # ---------------------------------------------------------------------------
-
-
-class ThreadAbortError(Exception):
-    """The threaded program reached ``abort`` (memory fault)."""
-
-
-class DeadlockError(Exception):
-    """No thread can move but the program is not final (join cycle or all
-    threads blocked on atomic guards)."""
 
 
 @dataclass(frozen=True)
@@ -429,7 +243,10 @@ def run_threads(
 
     The scheduler has the same interface as for the structured semantics:
     it receives the configuration and the enabled steps and returns an
-    index.  ``None`` picks the first enabled step (deterministic).
+    index.  ``None`` picks the first enabled step (deterministic).  Raises
+    the errors :func:`repro.lang.interpreter.run` raises:
+    :class:`AbortError` on a memory fault and :class:`DeadlockError` when
+    no thread can move.
     """
     config = TConfig.make(program, inputs, heap)
     schedule: list[str] = []
@@ -445,7 +262,7 @@ def run_threads(
         index = scheduler(config, steps) if scheduler is not None else 0
         chosen = steps[index]
         if chosen.aborted():
-            raise ThreadAbortError(f"program aborted after {count} steps (thread choice {chosen.choice!r})")
+            raise AbortError(f"program aborted after {count} steps (thread choice {chosen.choice!r})")
         schedule.append(chosen.choice)
         config = chosen.result
     raise RuntimeError(f"threaded program did not terminate within {max_steps} steps")

@@ -76,3 +76,54 @@ class TestDesugaredEquivalence:
         structured_output = run(structured, inputs=dict(inputs)).output
         threaded_output = case.run(dict(inputs)).output
         assert structured_output == threaded_output
+
+
+def _pool_final_outputs(program, inputs):
+    """Final outputs of a deduplicated walk over the fork/join pool."""
+    from repro.lang import TConfig, tstep
+
+    start = TConfig.make(program, inputs)
+    seen, stack, outputs = {start}, [start], set()
+    while stack:
+        config = stack.pop()
+        if config.is_final():
+            outputs.add(config.output)
+            continue
+        steps = tstep(config, program)
+        assert steps, "the pool deadlocked"
+        for successor in steps:
+            assert not successor.aborted()
+            if successor.result not in seen:
+                seen.add(successor.result)
+                stack.append(successor.result)
+    return outputs
+
+
+class TestPoolMatchesDesugaring:
+    """On the catalogue's own fork/join programs, every final output the
+    thread pool reaches is one the desugared structured program reaches,
+    and vice versa."""
+
+    @pytest.mark.parametrize(
+        "case,inputs",
+        [
+            (figure3_forkjoin, {"n": 2, "addrs": (1, 2), "reasons": (7, 8)}),
+            (figure3_forkjoin, {"n": 2, "addrs": (5, 5), "reasons": (100, 200)}),
+            (figure2_forkjoin, {"n": 2, "targets": (2, 3), "hcollisions": (1, 0)}),
+            (forkjoin_high_key, {"n": 2, "secrets": (1, 2)}),
+            (forkjoin_high_key, {"n": 2, "secrets": (3, 3)}),
+        ],
+        ids=["figure3", "figure3-colliding", "figure2", "high-key", "high-key-equal"],
+    )
+    def test_same_final_outputs(self, case, inputs):
+        from repro.lang import ABORT, Config, State, enumerate_executions
+        from repro.lang.desugar import threaded_equivalent
+
+        program = case.program()
+        finals = list(
+            enumerate_executions(Config(threaded_equivalent(program), State.make(dict(inputs))))
+        )
+        assert ABORT not in finals
+        structured = {final.state.output for final in finals}
+        pool = _pool_final_outputs(program, dict(inputs))
+        assert pool and pool == structured

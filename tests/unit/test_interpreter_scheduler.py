@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lang.interpreter import AbortError, run
+from repro.lang.interpreter import AbortError, DeadlockError, run
 from repro.lang.parser import parse_program
 from repro.lang.scheduler import (
     FixedScheduler,
@@ -40,6 +40,15 @@ class TestRun:
         source = "q := alloc(0)\natomic [A(0)] when (deref(q) > 0) { [q] := 0 }"
         with pytest.raises(RuntimeError, match="deadlock"):
             run(parse_program(source))
+
+    def test_deadlock_is_a_deadlock_error(self):
+        source = "q := alloc(0)\natomic [A(0)] when (deref(q) > 0) { [q] := 0 }"
+        with pytest.raises(DeadlockError, match="deadlock"):
+            run(parse_program(source))
+
+    def test_stuck_atomic_body_deadlocks(self):
+        with pytest.raises(RuntimeError, match="deadlock"):
+            run(parse_program("atomic { atomic when (false) { skip } }"))
 
     def test_schedule_recorded(self):
         result = run(parse_program("{ x := 1 } || { y := 2 }"))
@@ -98,6 +107,10 @@ class TestEnumeration:
             enumerate_executions(Config(parse_program(source), State.make({"p": 5})))
         )
         assert ABORT in outcomes
+
+    def test_stuck_atomic_body_has_no_final_state(self):
+        program = parse_program("atomic { atomic when (false) { skip } }")
+        assert list(enumerate_executions(Config(program, State.make()))) == []
 
     def test_max_executions_bound(self):
         source = "{ a := 1; b := 2 } || { c := 3; d := 4 }"

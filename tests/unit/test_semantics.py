@@ -7,6 +7,8 @@ from repro.lang.ast import (
     Atomic,
     BinOp,
     Call,
+    Fork,
+    Join,
     Lit,
     Load,
     Par,
@@ -152,6 +154,23 @@ class TestAtomic:
         source = "{ atomic [A(0)] when (deref(q) > 0) { [q] := 0 } } || { x := 1 }"
         steps = step(make_config(source, {"q": 1}, {1: 0}))
         assert {s.choice for s in steps} == {"R"}
+
+    def test_stuck_body_blocks_the_block(self):
+        # A nested blocked guard leaves the body with no run to skip, so the
+        # outer block has no step, exactly as if its own guard were false.
+        assert step(make_config("atomic { atomic when (false) { skip } }")) == []
+
+    def test_stuck_body_does_not_block_sibling(self):
+        source = "{ atomic { atomic when (false) { skip } } } || { x := 1 }"
+        assert {s.choice for s in step(make_config(source))} == {"R"}
+
+
+class TestForkJoin:
+    def test_fork_and_join_have_no_structured_step(self):
+        # The fork/join pool (repro.lang.threads) performs these redexes.
+        for command in (Fork("t", "p", (Lit(1),)), Join("p", Var("t"))):
+            assert step(Config(command, State.make())) == []
+            assert step(Config(Seq(command, Assign("x", Lit(1))), State.make())) == []
 
 
 class TestDeterminism:

@@ -39,6 +39,7 @@ from repro.lang import (
     threaded_equivalent,
     tstep,
 )
+from repro.lang.ast import expr_subst, map_command, walk
 from repro.lang.semantics import Config, State
 from repro.lang.threads import MAIN_TID, ThreadError
 
@@ -145,6 +146,30 @@ class TestThreadMachine:
         with pytest.raises(ThreadError):
             run_threads(program)
 
+    def test_join_inside_atomic_of_a_procedure_rejected_when_built(self):
+        program = ThreadedProgram(
+            seq_all(Fork("t", "outer", ()), Join("outer", Var("t"))),
+            (Procedure("outer", (), Atomic(Join("worker", Lit(1)))), _incr_proc()),
+        )
+        with pytest.raises(ThreadError):
+            TConfig.make(program)
+
+    def test_thread_with_internal_par_reports_paths(self):
+        # A fork/join redex and a structured step of the same thread are
+        # listed left to right, each tagged with the tid and its L/R path.
+        program = ThreadedProgram(
+            seq_all(
+                Par(Fork("t", "worker", (Var("c"),)), Assign("x", Lit(1))),
+                Join("worker", Var("t")),
+            ),
+            (_incr_proc(),),
+        )
+        config = TConfig.make(program, {"c": 1}, {1: 0})
+        assert [s.choice for s in tstep(config, program)] == ["0L", "0R"]
+        result = run_threads(program, inputs={"c": 1}, heap={1: 0})
+        assert result.heap == {1: 1}
+        assert result.main_store["x"] == 1
+
     def test_heap_is_shared_between_threads(self):
         # Worker writes, main reads after join.
         program = ThreadedProgram(
@@ -172,13 +197,13 @@ class TestThreadMachine:
         assert result.output == (5, 6)
 
     def test_aborting_thread_aborts_run(self):
-        from repro.lang import ThreadAbortError
+        from repro.lang import AbortError
 
         program = ThreadedProgram(
             seq_all(Fork("t", "bad", ()), Join("bad", Var("t"))),
             (Procedure("bad", (), Load("x", Lit(12345))),),
         )
-        with pytest.raises(ThreadAbortError):
+        with pytest.raises(AbortError):
             run_threads(program)
 
     def test_interleaving_is_nondeterministic(self):
@@ -472,6 +497,33 @@ class TestForksToPar:
         # The two workers' local 't' must not collide.
         text = str(structured)
         assert "t__t0" in text and "t__t1" in text
+
+
+class TestCommandTraversal:
+    def test_walk_is_pre_order_and_enters_atomic_bodies(self):
+        inner = Store(Var("c"), Lit(1))
+        cmd = Seq(Atomic(inner), Par(Skip(), Print(Var("x"))))
+        assert list(walk(cmd)) == [
+            cmd,
+            cmd.first,
+            inner,
+            cmd.second,
+            Skip(),
+            Print(Var("x")),
+        ]
+
+    def test_map_command_reaches_every_expression_and_target(self):
+        cmd = seq_all(
+            Fork("t", "worker", (Var("a"),)),
+            Atomic(Store(Var("c"), Var("a")), "Put", Var("a"), BinOp(">", Var("a"), Lit(0))),
+            Join("worker", Var("t")),
+        )
+        mapped = map_command(cmd, lambda e: expr_subst(e, "a", Lit(7)), str.upper)
+        assert mapped == seq_all(
+            Fork("T", "worker", (Lit(7),)),
+            Atomic(Store(Var("c"), Lit(7)), "Put", Lit(7), BinOp(">", Lit(7), Lit(0))),
+            Join("worker", Var("t")),
+        )
 
 
 class TestRenameVars:
