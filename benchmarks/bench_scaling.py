@@ -5,16 +5,17 @@ benchmark varies the knobs our stack exposes and reports the growth
 curves:
 
 * **worker count** — fork/join counter programs with N = 2..5 workers,
-  verified through the desugar-then-verify pipeline (the analogue of
-  HyperViper handling more forked threads);
+  reduced to ``||`` with ``threaded_equivalent`` and verified by
+  ``verify`` (the analogue of HyperViper handling more forked threads);
 * **validity domain size** — Def. 3.1 checking of the integer-add spec as
   the small-scope value/argument domains grow (the analogue of Z3's
   instantiation workload);
 * **solver strategy** — the bounded enumerator with and without the
   DPLL/EUF fast paths on boolean-skeleton-heavy validity queries;
-* **interleaving explosion** — the number of executions the exhaustive
-  checker enumerates as threads are added, the reason retroactive
-  discharge samples schedules instead of enumerating them by default.
+* **interleaving explosion** — the number of complete interleavings of
+  the reduced program as threads are added, against the distinct final
+  states the partial-order-reduced explorer visits instead (the reason
+  stage 4 can afford to enumerate exhaustively).
 """
 
 import itertools
@@ -33,16 +34,18 @@ from repro.lang import (
     Store,
     ThreadedProgram,
     Var,
-    enumerate_threaded_executions,
     seq_all,
 )
+from repro.lang.desugar import threaded_equivalent
+from repro.lang.scheduler import enumerate_executions, enumerate_paths
+from repro.lang.semantics import Config, State
 from repro.smt.solver import check_validity as smt_check
 from repro.smt.sorts import BOOL
 from repro.smt.terms import App, SymVar, conj, disj, implies, negate
 from repro.spec import Action, ResourceSpecification, check_validity
 from repro.spec.actions import low_everything
 from repro.spec.library import integer_add_spec
-from repro.verifier.frontend import verify_threaded
+from repro.verifier import ProgramSpec, ResourceDecl, verify
 
 
 def _incr_worker() -> Procedure:
@@ -71,18 +74,23 @@ def _fork_join_counter(workers: int) -> ThreadedProgram:
     return ThreadedProgram(seq_all(*statements), (_incr_worker(),))
 
 
+def _verify_counter(workers: int):
+    spec = ProgramSpec(
+        f"counter-{workers}w",
+        threaded_equivalent(_fork_join_counter(workers)),
+        (ResourceDecl("IntegerAdd", integer_add_spec(), "c"),),
+        frozenset(),
+        frozenset(),
+    )
+    return verify(spec)
+
+
 WORKER_COUNTS = (2, 3, 4, 5)
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_verify_n_workers(benchmark, workers):
-    from repro.verifier import ResourceDecl
-
-    program = _fork_join_counter(workers)
-    resources = (ResourceDecl("IntegerAdd", integer_add_spec(), "c"),)
-    result = benchmark(
-        verify_threaded, f"counter-{workers}w", program, resources, frozenset(), frozenset()
-    )
+    result = benchmark(_verify_counter, workers)
     assert result.verified, result.summary()
 
 
@@ -141,16 +149,10 @@ def test_solver_enumeration_only(benchmark, atoms):
 def test_print_scaling_report():
     import time
 
-    from repro.verifier import ResourceDecl
-
     print("\n=== scaling: fork/join worker count (full verification) ===")
-    resources = (ResourceDecl("IntegerAdd", integer_add_spec(), "c"),)
     for workers in WORKER_COUNTS:
-        program = _fork_join_counter(workers)
         start = time.perf_counter()
-        result = verify_threaded(
-            f"counter-{workers}w", program, resources, frozenset(), frozenset()
-        )
+        result = _verify_counter(workers)
         elapsed = time.perf_counter() - start
         print(f"  {workers} workers: {elapsed * 1000:7.1f} ms  "
               f"({'VERIFIED' if result.verified else 'REJECTED'})")
@@ -180,6 +182,8 @@ def test_print_scaling_report():
 
     print("\n=== scaling: interleavings enumerated (exhaustive checking) ===")
     for workers in (1, 2, 3):
-        program = _fork_join_counter(workers)
-        count = sum(1 for _ in enumerate_threaded_executions(program, max_steps=5_000))
-        print(f"  {workers} worker(s): {count} complete interleavings")
+        initial = Config(threaded_equivalent(_fork_join_counter(workers)), State.make())
+        paths = sum(1 for _ in enumerate_paths(initial, max_steps=5_000))
+        finals = sum(1 for _ in enumerate_executions(initial, max_steps=5_000))
+        print(f"  {workers} worker(s): {paths} complete interleavings, "
+              f"{finals} distinct final state(s)")

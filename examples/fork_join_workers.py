@@ -11,14 +11,16 @@ shows both halves of our treatment:
    though the map's values race;
 2. the same program is *verified* by statically reducing it to the
    paper's structured calculus (``repro.lang.desugar``) and reusing the
-   standard pipeline.
+   standard pipeline: a fork/join case study's ``program()`` is already
+   the reduced program.
 """
 
 from repro.casestudies import figure3_forkjoin, forkjoin_high_key
-from repro.lang import RandomScheduler
-from repro.lang.desugar import threaded_equivalent
+from repro.lang import RandomScheduler, run_threads
+from repro.lang.parser import parse_threaded_program
 
 INPUTS = {"n": 4, "addrs": (1, 2, 1, 3), "reasons": (9, 8, 7, 6)}
+threaded = parse_threaded_program(figure3_forkjoin.source)
 
 # -- 1. Execution on the thread machine. --------------------------------------
 
@@ -27,7 +29,7 @@ print(figure3_forkjoin.source)
 
 print("running under 8 random schedulers:")
 for seed in range(8):
-    result = figure3_forkjoin.run(dict(INPUTS), scheduler=RandomScheduler(seed))
+    result = run_threads(threaded, dict(INPUTS), scheduler=RandomScheduler(seed))
     print(f"  seed {seed}: output {result.output}")
 
 # The two workers race on key 1 (addrs has it twice) — the map's VALUES
@@ -35,7 +37,7 @@ for seed in range(8):
 race_inputs = {"n": 2, "addrs": (5, 5), "reasons": (100, 200)}
 values_seen = set()
 for seed in range(10):
-    result = figure3_forkjoin.run(dict(race_inputs), scheduler=RandomScheduler(seed))
+    result = run_threads(threaded, dict(race_inputs), scheduler=RandomScheduler(seed))
     final_map = [v for v in result.heap.values() if hasattr(v, "get")][0]
     values_seen.add(final_map.get(5))
 print(f"\nracing value for key 5 across schedules: {sorted(values_seen)}")
@@ -43,7 +45,7 @@ print("(the value races; the key set — the declared abstraction — does not)"
 
 # -- 2. Static reduction to structured || and verification. -------------------
 
-structured = threaded_equivalent(figure3_forkjoin.program())
+structured = figure3_forkjoin.program()
 print("\n=== desugared to the paper's core calculus ===")
 print(structured)
 

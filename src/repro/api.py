@@ -26,11 +26,13 @@ The three layers:
   and passed through this facade rather than reached through a
   process-global singleton.
 
-The engine entry points (``repro.verifier.frontend.verify``,
-``verify_threaded``, ``CaseStudy.verify``) remain supported — this
-module wraps them rather than replacing them — but new integrations
-should not reach around the facade: only the surface here is covered by
-the wire-compatibility tests.
+A case request names any entry of :mod:`repro.casestudies`, the fork/join
+case studies included (their programs reach the pipeline already reduced
+to the structured calculus).  The engine entry points
+(``repro.verifier.frontend.verify``, ``CaseStudy.verify``) remain
+supported — this module wraps them rather than replacing them — but new
+integrations should not reach around the facade: only the surface here is
+covered by the wire-compatibility tests.
 """
 
 from __future__ import annotations
@@ -262,6 +264,8 @@ class VerificationRequest:
     * ``formula`` — a raw SMT validity query (wire-encoded term), with
       optional per-variable ``sorts`` overrides (wire sort names); the
       daemon additionally folds the tenant's sort overrides under these.
+      ``exhaustive`` (formula requests only) asserts that the bounded
+      scope covers the whole domain, so a bounded proof reads ``proved``.
     """
 
     case: Optional[str] = None
@@ -273,7 +277,6 @@ class VerificationRequest:
     high_inputs: frozenset = frozenset()
     instances: Optional[InstanceGroups] = None
     sorts: Optional[Tuple[Tuple[str, str], ...]] = None
-    conformance_mode: str = "auto"
     exhaustive: bool = False
     #: Run the static pre-verification fast path (repro.analysis); on by
     #: default.  The prepass only ever accepts, so this flag trades
@@ -306,8 +309,8 @@ class VerificationRequest:
             raise RequestError(
                 f"a request must set exactly one of case/program/formula, got {populated or 'none'}"
             )
-        if self.conformance_mode not in ("auto", "symbolic", "sampling"):
-            raise RequestError(f"unknown conformance_mode {self.conformance_mode!r}")
+        if self.exhaustive and self.formula is None:
+            raise RequestError("exhaustive applies to formula requests only")
         if self.formula is not None and self.sorts is not None:
             for _var, sort_name in self.sorts:
                 sort_from_wire(sort_name)
@@ -381,8 +384,6 @@ class VerificationRequest:
             ]
         if self.sorts is not None:
             obj["sorts"] = {var: name for var, name in self.sorts}
-        if self.conformance_mode != "auto":
-            obj["conformance_mode"] = self.conformance_mode
         if self.exhaustive:
             obj["exhaustive"] = True
         if not self.static_prepass:
@@ -419,7 +420,6 @@ class VerificationRequest:
             high_inputs=frozenset(obj.get("high_inputs", ())),
             instances=instances,
             sorts=sorts,
-            conformance_mode=obj.get("conformance_mode", "auto"),
             exhaustive=bool(obj.get("exhaustive", False)),
             static_prepass=bool(obj.get("static_prepass", True)),
         )
@@ -773,8 +773,6 @@ def execute(
         result = verify(
             spec,
             bounded_instances=instances,
-            exhaustive_discharge=request.exhaustive,
-            conformance_mode=request.conformance_mode,
             jobs=jobs,
             session=session,
             static_prepass=request.static_prepass,

@@ -2,68 +2,29 @@
 
 HyperViper verifies dynamic threads created with ``fork``/``join`` (its
 App. E encoding of Figure 3 forks one worker per input segment).  These
-case studies replay that pattern on our pipeline: the program is written
-with ``fork``/``join``, reduced to the paper's structured ``||`` calculus
-by :mod:`repro.lang.desugar`, and then verified unchanged.
+case studies replay that pattern on our pipeline.  They are ordinary
+:class:`~repro.casestudies.base.CaseStudy` values: the program is written
+with ``fork``/``join``, :meth:`CaseStudy.program` reduces it to the
+paper's structured ``||`` calculus with :mod:`repro.lang.desugar`, and the
+standard pipeline verifies the result unchanged.  They are found by
+:func:`~repro.casestudies.case_by_name` (so the CLI, ``repro.api`` and the
+daemon verify them by name) but are kept out of ``ALL_CASES``.  To run
+one on the dynamic thread pool, parse its ``source`` with
+:func:`~repro.lang.parser.parse_threaded_program` and pass it to
+:func:`~repro.lang.threads.run_threads`.
 
 * **Figure 3 (fork/join)** — the App. E program: ``main`` forks two
   ``worker`` threads that put (low address, secret reason) pairs into a
   shared map, joins them, and prints the sorted key set.
 * **Figure 2 (fork/join)** — the counter variant with dynamically created
   workers.
-* **Leaky (fork/join)** — a negative control: a forked worker puts a
+* **Fork/join high key** — a negative control: a forked worker puts a
   *high* key into the map, which must be rejected after desugaring.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Optional, Tuple
-
-from ..lang.parser import parse_threaded_program
-from ..lang.procedures import ThreadedProgram
-from ..lang.threads import ThreadedRunResult, run_threads
-from ..verifier.declarations import ResourceDecl
-from ..verifier.frontend import VerificationResult, verify_threaded
-from .base import make_instances
 from ..spec.library import integer_add_spec, map_put_keyset_spec
-
-
-@dataclass(frozen=True)
-class ThreadedCaseStudy:
-    """A fork/join evaluation example."""
-
-    name: str
-    description: str
-    source: str
-    resources: Tuple[ResourceDecl, ...]
-    low_inputs: frozenset
-    high_inputs: frozenset
-    expected_verified: bool
-    instances: Optional[Callable[[], list]] = None
-
-    def program(self) -> ThreadedProgram:
-        return _parse_cached(self.source)
-
-    def verify(self, **kwargs) -> VerificationResult:
-        return verify_threaded(
-            self.name,
-            self.program(),
-            self.resources,
-            self.low_inputs,
-            self.high_inputs,
-            bounded_instances=self.instances,
-            **kwargs,
-        )
-
-    def run(self, inputs: dict, scheduler=None) -> ThreadedRunResult:
-        return run_threads(self.program(), inputs=inputs, scheduler=scheduler)
-
-
-@lru_cache(maxsize=None)
-def _parse_cached(source: str) -> ThreadedProgram:
-    return parse_threaded_program(source)
+from ..verifier.declarations import ResourceDecl
+from .base import CaseStudy, make_instances
 
 
 _FIGURE3_FORKJOIN_SRC = """
@@ -88,7 +49,7 @@ mv := [m]
 print(sort(setToSeq(keys(mv))))
 """
 
-figure3_forkjoin = ThreadedCaseStudy(
+figure3_forkjoin = CaseStudy(
     name="Figure 3 (fork/join)",
     description="App. E: dynamically forked workers put into a shared map",
     source=_FIGURE3_FORKJOIN_SRC,
@@ -126,7 +87,7 @@ result := [c]
 print(result)
 """
 
-figure2_forkjoin = ThreadedCaseStudy(
+figure2_forkjoin = CaseStudy(
     name="Figure 2 (fork/join)",
     description="dynamically forked workers add to a shared counter",
     source=_FIGURE2_FORKJOIN_SRC,
@@ -162,7 +123,7 @@ mv := [m]
 print(sort(setToSeq(keys(mv))))
 """
 
-forkjoin_high_key = ThreadedCaseStudy(
+forkjoin_high_key = CaseStudy(
     name="Fork/join high key",
     description="forked workers put a high key — must be rejected",
     source=_FORKJOIN_HIGH_KEY_SRC,
@@ -176,7 +137,7 @@ forkjoin_high_key = ThreadedCaseStudy(
     ),
 )
 
-THREADED_CASES: tuple[ThreadedCaseStudy, ...] = (
+THREADED_CASES: tuple[CaseStudy, ...] = (
     figure3_forkjoin,
     figure2_forkjoin,
     forkjoin_high_key,

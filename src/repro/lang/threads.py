@@ -275,37 +275,37 @@ def enumerate_threaded_executions(
     max_steps: int = 10_000,
     max_executions: Optional[int] = None,
 ) -> Iterator[Any]:
-    """Depth-first enumeration of all terminating threaded executions.
+    """Depth-first enumeration of every outcome of the pool.
 
-    Yields final :class:`TConfig` values (one per interleaving), the
-    string ``"abort"`` for aborting branches, or the string
-    ``"deadlock"`` for stuck non-final branches.
+    Yields each distinct final :class:`TConfig` once, the string
+    ``"abort"`` once if some branch aborts, and the string ``"deadlock"``
+    once if some non-final configuration is stuck.  A visited set expands
+    every reachable configuration once, so the walk is linear in the
+    state graph rather than in its interleavings; ``max_steps`` bounds
+    the search depth and ``max_executions`` the number of outcomes.
     """
-    yielded = 0
     initial = TConfig.make(program, inputs, heap)
+    seen = {initial}
     stack: list[tuple[TConfig, int]] = [(initial, 0)]
+    yielded: set = set()
     while stack:
         config, depth = stack.pop()
         if depth > max_steps:
             raise RuntimeError("execution exceeded max_steps (possible divergence)")
         if config.is_final():
-            yield config
-            yielded += 1
-            if max_executions is not None and yielded >= max_executions:
-                return
-            continue
-        steps = tstep(config, program)
-        if not steps:
-            yield "deadlock"
-            yielded += 1
-            if max_executions is not None and yielded >= max_executions:
-                return
-            continue
-        for successor in reversed(steps):
-            if successor.aborted():
-                yield ABORT
-                yielded += 1
-                if max_executions is not None and yielded >= max_executions:
+            outcomes = [config]
+        else:
+            steps = tstep(config, program)
+            outcomes = [] if steps else ["deadlock"]
+            for successor in reversed(steps):
+                if successor.aborted():
+                    outcomes.append(ABORT)
+                elif successor.result not in seen:
+                    seen.add(successor.result)
+                    stack.append((successor.result, depth + 1))
+        for outcome in outcomes:
+            if outcome not in yielded:
+                yielded.add(outcome)
+                yield outcome
+                if max_executions is not None and len(yielded) >= max_executions:
                     return
-            else:
-                stack.append((successor.result, depth + 1))

@@ -4,7 +4,7 @@ from .analysis import AnalysisError, AnalysisReport, Obligation, TaintAnalyzer
 from .baseline import BaselineChecker, BaselineReport, baseline_check
 from .conformance import ConformanceReport, check_conformance
 from .declarations import ProgramSpec, ResourceDecl
-from .frontend import VerificationResult, verify, verify_threaded
+from .frontend import VerificationResult, verify
 from .product import (
     ProductError,
     ProductNIReport,
@@ -55,5 +55,4 @@ __all__ = [
     "run_product",
     "symbolic_conformance_ok",
     "verify",
-    "verify_threaded",
 ]

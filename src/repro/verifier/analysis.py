@@ -279,8 +279,8 @@ class TaintAnalyzer:
         if isinstance(cmd, (Fork, Join)):
             raise AnalysisError(
                 f"{cmd}: the static analysis works on the structured core "
-                f"calculus; desugar fork/join first (verify_threaded or "
-                f"repro.lang.desugar.threaded_equivalent)"
+                f"calculus; desugar fork/join first with "
+                f"repro.lang.desugar.threaded_equivalent (CaseStudy.program() does)"
             )
         raise TypeError(f"not a command: {cmd!r}")
 

@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 if TYPE_CHECKING:  # imported lazily at run time: repro.analysis imports us
     from ..analysis.prepass import PrepassReport
 
-from ..security import noninterference
 from ..security.noninterference import NIReport, channel_observer, check_noninterference
 from ..smt.session import SolverSession
 from ..spec.validity import ValidityReport, check_validity_batch
@@ -94,66 +93,20 @@ class VerificationResult:
         return "\n".join(lines)
 
 
-def verify_threaded(
-    name: str,
-    threaded_program: "ThreadedProgram",
-    resources: tuple,
-    low_inputs: frozenset = frozenset(),
-    high_inputs: frozenset = frozenset(),
-    **verify_kwargs,
-) -> VerificationResult:
-    """Verify a fork/join program (HyperViper's richer language, Sec. 5).
-
-    The program is first reduced to the paper's structured ``||`` calculus
-    with :func:`repro.lang.desugar.threaded_equivalent`; the reduction is
-    behaviour-preserving for the barrier-structured fragment (tokens in
-    scalar variables, joins matching forks — checked, with a rejection
-    otherwise), after which the standard pipeline applies unchanged.
-    """
-    from ..lang.desugar import DesugarError, threaded_equivalent
-
-    try:
-        structured = threaded_equivalent(threaded_program)
-    except DesugarError as error:
-        return VerificationResult(
-            name=name,
-            verified=False,
-            errors=(f"fork/join reduction failed: {error}",),
-            obligations=(),
-            validity_reports={},
-            conformance_reports=(),
-        )
-    program_spec = ProgramSpec(
-        name=name,
-        program=structured,
-        resources=resources,
-        low_inputs=low_inputs,
-        high_inputs=high_inputs,
-    )
-    return verify(program_spec, **verify_kwargs)
-
-
 def verify(
     program_spec: ProgramSpec,
     bounded_instances: Optional[InstanceGenerator] = None,
-    exhaustive_discharge: bool = False,
-    conformance_samples: int = 6,
-    conformance_mode: str = "auto",
     jobs: int = 1,
     session: Optional[SolverSession] = None,
     static_prepass: bool = True,
 ) -> VerificationResult:
     """Run the full verification pipeline on one program.
 
-    ``conformance_mode`` selects how stage 3 (atomic bodies implement
-    their actions) is discharged:
-
-    * ``"auto"`` (default) — symbolic VC generation + the SMT solver
-      (all paths covered by construction); blocks outside the symbolic
-      fragment (loops in atomic bodies, blocking guards, foreign heap
-      cells) fall back to semantic sampling;
-    * ``"symbolic"`` — symbolic only; out-of-fragment blocks error;
-    * ``"sampling"`` — semantic sampling only (the pre-VC behaviour).
+    Stage 3 (atomic bodies implement their actions) is discharged by
+    symbolic VC generation + the SMT solver (all paths covered by
+    construction); blocks outside the symbolic fragment (loops in atomic
+    bodies, blocking guards, foreign heap cells) fall back to semantic
+    sampling.
 
     ``jobs > 1`` fans the independent obligations — per-resource Def. 3.1
     validity in stage 1, per-block conformance VCs in stage 3 — out over
@@ -170,10 +123,8 @@ def verify(
     Stage 4 discharges retroactive obligations on ``bounded_instances``
     with :func:`~repro.security.noninterference.check_noninterference`:
     exhaustive within its state budget, sampled beyond it.  Each
-    obligation's ``method`` names the mode that decided.
-    ``exhaustive_discharge=True`` demands the exhaustive check with no
-    budget and no fallback.  Instances with no execution to check are
-    rejected like missing instances.
+    obligation's ``method`` names the mode that decided.  Instances with
+    no execution to check are rejected like missing instances.
 
     ``static_prepass`` (default on) runs the sound static pre-verification
     of :mod:`repro.analysis` after stage 2: when the lockset race detector
@@ -183,8 +134,6 @@ def verify(
     from the full pipeline, so disabling it (``static_prepass=False``)
     changes wall-clock time, never verdicts.
     """
-    if conformance_mode not in ("auto", "symbolic", "sampling"):
-        raise ValueError(f"unknown conformance_mode {conformance_mode!r}")
     errors: list[str] = []
 
     # Stage 1: specification validity (Def. 3.1) — one independent
@@ -235,11 +184,7 @@ def verify(
     # over the process pool (jobs > 1) or on one shared solver session.
     from ..smt.solver import Verdict
 
-    eligible = [
-        atomic
-        for atomic in analysis.atomic_blocks
-        if conformance_mode in ("auto", "symbolic") and atomic.when is None
-    ]
+    eligible = [atomic for atomic in analysis.atomic_blocks if atomic.when is None]
     symbolic_outcomes: dict[int, tuple] = {}
     if eligible:
         payloads = [
@@ -275,24 +220,10 @@ def verify(
     symbolic_conformance: list[tuple[str, str]] = []
     for atomic in analysis.atomic_blocks:
         decl = program_spec.resource_by_action(atomic.action)
-        symbolic_result = None
-        outcome = symbolic_outcomes.get(id(atomic))
-        if outcome is not None:
-            kind, value = outcome
-            if kind == "ok":
-                symbolic_result = value
-            else:  # the block is outside the symbolic fragment
-                if conformance_mode == "symbolic":
-                    errors.append(f"atomic [{atomic.action}]: symbolic conformance failed: {value}")
-                    continue
-                symbolic_result = None
-        elif conformance_mode == "symbolic":
-            errors.append(
-                f"atomic [{atomic.action}]: blocking guards are outside the "
-                f"symbolic conformance fragment"
-            )
-            continue
-        if symbolic_result is not None and symbolic_result.verdict != Verdict.UNKNOWN:
+        # A blocking guard (no outcome), a VCError (outside the symbolic
+        # fragment) or an unknown verdict: the block is sampled below.
+        kind, symbolic_result = symbolic_outcomes.get(id(atomic), ("skipped", None))
+        if kind == "ok" and symbolic_result.verdict != Verdict.UNKNOWN:
             symbolic_conformance.append((atomic.action, symbolic_result.verdict.value))
             if symbolic_result.verdict == Verdict.REFUTED:
                 errors.append(
@@ -300,7 +231,7 @@ def verify(
                     f"symbolic countermodel {dict(symbolic_result.model or {})}"
                 )
             continue
-        report = check_conformance(decl, atomic, samples_per_value=conformance_samples)
+        report = check_conformance(decl, atomic)
         conformance_reports.append(report)
         if not report.ok:
             errors.append(str(report))
@@ -314,7 +245,6 @@ def verify(
                 program_spec.program,
                 bounded_instances(),
                 observe=channel_observer(program_spec.low_channels),
-                max_states=None if exhaustive_discharge else noninterference.STATE_BUDGET,
             )
         if ni_report is None or ni_report.executions_checked == 0:
             errors.append(

@@ -67,16 +67,6 @@ def test_over_budget_falls_back_to_sampled_schedules(monkeypatch, name):
         assert "(exhaustive enumeration)" in exhaustive.errors[0]
 
 
-def test_exhaustive_discharge_ignores_the_budget(monkeypatch):
-    monkeypatch.setattr(noninterference, "STATE_BUDGET", 3)
-    result = case_by_name("1-Producer-1-Consumer").verify(exhaustive_discharge=True)
-    assert result.verified
-    assert all(
-        "discharged by exhaustive interleaving check" in str(obligation)
-        for obligation in result.obligations
-    )
-
-
 # -- instances with nothing to check -------------------------------------
 
 HIGH_KEY = case_by_name("Figure 3 (high key)")  # expected REJECTED

@@ -1,14 +1,29 @@
 """Integration tests for the fork/join case studies (Sec. 5 / App. E)."""
 
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+from repro import api
 from repro.casestudies import (
+    ALL_CASES,
     THREADED_CASES,
+    case_by_name,
     figure2_forkjoin,
     figure3_forkjoin,
     forkjoin_high_key,
 )
-from repro.lang import RandomScheduler
+from repro.lang import RandomScheduler, enumerate_threaded_executions, run_threads
+from repro.lang.parser import parse_threaded_program
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+
+def _run(case, inputs, scheduler=None):
+    """Run ``case`` on the dynamic thread pool."""
+    return run_threads(parse_threaded_program(case.source), inputs=inputs, scheduler=scheduler)
 
 
 class TestVerdicts:
@@ -23,17 +38,48 @@ class TestVerdicts:
         assert result.errors
 
 
+class TestCatalogueLookup:
+    """The fork/join cases are found by name everywhere a case is, yet
+    stay out of the 29-case sweep."""
+
+    @pytest.mark.parametrize("case", THREADED_CASES, ids=lambda c: c.name)
+    def test_case_by_name_resolves(self, case):
+        assert case_by_name(case.name) is case
+
+    @pytest.mark.parametrize("case", THREADED_CASES, ids=lambda c: c.name)
+    def test_api_execute_by_name(self, case):
+        verdict = api.execute(api.VerificationRequest(case=case.name))
+        assert verdict.verified == case.expected_verified
+        assert verdict.ok
+
+    def test_kept_out_of_all_cases(self):
+        assert len(ALL_CASES) == 29
+        assert {case.name for case in THREADED_CASES}.isdisjoint(case.name for case in ALL_CASES)
+
+    def test_cli_verifies_by_name(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", figure3_forkjoin.name],
+            cwd=REPO_ROOT,
+            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert f"{figure3_forkjoin.name}: VERIFIED" in result.stdout
+
+
 class TestRuntimeBehaviour:
     def test_figure2_forkjoin_counts_targets(self):
         inputs = {"n": 4, "targets": (2, 0, 1, 3), "hcollisions": (0, 5, 1, 2)}
         for seed in range(6):
-            result = figure2_forkjoin.run(inputs, scheduler=RandomScheduler(seed))
+            result = _run(figure2_forkjoin, inputs, RandomScheduler(seed))
             assert result.output == (6,)
 
     def test_figure3_forkjoin_key_set_schedule_independent(self):
         inputs = {"n": 4, "addrs": (1, 2, 1, 3), "reasons": (9, 8, 7, 6)}
         outputs = {
-            figure3_forkjoin.run(inputs, scheduler=RandomScheduler(seed)).output
+            _run(figure3_forkjoin, inputs, RandomScheduler(seed)).output
             for seed in range(8)
         }
         assert outputs == {((1, 2, 3),)}
@@ -43,7 +89,7 @@ class TestRuntimeBehaviour:
         # key set is schedule-independent.  Run with two colliding keys.
         inputs = {"n": 2, "addrs": (5, 5), "reasons": (100, 200)}
         outputs = {
-            figure3_forkjoin.run(inputs, scheduler=RandomScheduler(seed)).output
+            _run(figure3_forkjoin, inputs, RandomScheduler(seed)).output
             for seed in range(12)
         }
         assert outputs == {((5,),)}
@@ -52,8 +98,8 @@ class TestRuntimeBehaviour:
         # The negative control is genuinely insecure: differing secrets give
         # differing public outputs.
         low = {"n": 2}
-        out1 = forkjoin_high_key.run({**low, "secrets": (1, 2)}).output
-        out2 = forkjoin_high_key.run({**low, "secrets": (3, 4)}).output
+        out1 = _run(forkjoin_high_key, {**low, "secrets": (1, 2)}).output
+        out2 = _run(forkjoin_high_key, {**low, "secrets": (3, 4)}).output
         assert out1 != out2
 
 
@@ -70,33 +116,10 @@ class TestDesugaredEquivalence:
     )
     def test_final_outputs_agree(self, case, inputs):
         from repro.lang import run
-        from repro.lang.desugar import threaded_equivalent
 
-        structured = threaded_equivalent(case.program())
-        structured_output = run(structured, inputs=dict(inputs)).output
-        threaded_output = case.run(dict(inputs)).output
+        structured_output = run(case.program(), inputs=dict(inputs)).output
+        threaded_output = _run(case, dict(inputs)).output
         assert structured_output == threaded_output
-
-
-def _pool_final_outputs(program, inputs):
-    """Final outputs of a deduplicated walk over the fork/join pool."""
-    from repro.lang import TConfig, tstep
-
-    start = TConfig.make(program, inputs)
-    seen, stack, outputs = {start}, [start], set()
-    while stack:
-        config = stack.pop()
-        if config.is_final():
-            outputs.add(config.output)
-            continue
-        steps = tstep(config, program)
-        assert steps, "the pool deadlocked"
-        for successor in steps:
-            assert not successor.aborted()
-            if successor.result not in seen:
-                seen.add(successor.result)
-                stack.append(successor.result)
-    return outputs
 
 
 class TestPoolMatchesDesugaring:
@@ -117,13 +140,26 @@ class TestPoolMatchesDesugaring:
     )
     def test_same_final_outputs(self, case, inputs):
         from repro.lang import ABORT, Config, State, enumerate_executions
-        from repro.lang.desugar import threaded_equivalent
 
-        program = case.program()
-        finals = list(
-            enumerate_executions(Config(threaded_equivalent(program), State.make(dict(inputs))))
-        )
+        finals = list(enumerate_executions(Config(case.program(), State.make(dict(inputs)))))
         assert ABORT not in finals
         structured = {final.state.output for final in finals}
-        pool = _pool_final_outputs(program, dict(inputs))
+        outcomes = list(
+            enumerate_threaded_executions(parse_threaded_program(case.source), dict(inputs))
+        )
+        assert ABORT not in outcomes and "deadlock" not in outcomes
+        pool = {final.output for final in outcomes}
         assert pool and pool == structured
+
+
+class TestPoolExplorer:
+    def test_each_distinct_outcome_is_yielded_once(self):
+        # Every interleaving of the two workers ends in the same final
+        # configuration; without a visited set each would be yielded anew.
+        program = parse_threaded_program(forkjoin_high_key.source)
+        outcomes = list(
+            enumerate_threaded_executions(
+                program, {"n": 2, "secrets": (1, 2)}, max_executions=10
+            )
+        )
+        assert len(outcomes) == 1

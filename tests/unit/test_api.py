@@ -68,8 +68,6 @@ def test_program_request_round_trip():
         ),
         low_inputs=frozenset({"a"}),
         high_inputs=frozenset({"h"}),
-        conformance_mode="symbolic",
-        exhaustive=True,
     )
     rebuilt = api.VerificationRequest.from_wire(request.to_wire())
     assert rebuilt == request
@@ -82,6 +80,7 @@ def test_formula_request_round_trip():
         formula=api.term_to_wire(tautology),
         name="taut",
         sorts=(("x", "int"),),
+        exhaustive=True,
     )
     rebuilt = api.VerificationRequest.from_wire(request.to_wire())
     assert rebuilt == request
@@ -95,9 +94,11 @@ def test_request_requires_exactly_one_shape():
         api.VerificationRequest(case="Figure 3", program="skip").validate()
 
 
-def test_request_rejects_bad_conformance_mode():
+def test_request_rejects_exhaustive_on_case_and_program_requests():
     with pytest.raises(api.RequestError):
-        api.VerificationRequest(case="Figure 3", conformance_mode="psychic").validate()
+        api.VerificationRequest(case="Figure 3", exhaustive=True).validate()
+    with pytest.raises(api.RequestError):
+        api.VerificationRequest(program="skip", exhaustive=True).validate()
 
 
 def test_unknown_case_is_a_request_error():

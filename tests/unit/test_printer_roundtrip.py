@@ -41,12 +41,13 @@ from repro.lang.printer import (
 @pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.name)
 def test_corpus_round_trips(case):
     ast = case.program()
+    assert ast == parse_program(case.source)
     assert parse_program(print_program(ast)) == ast
 
 
 @pytest.mark.parametrize("case", THREADED_CASES, ids=lambda c: c.name)
 def test_threaded_corpus_round_trips(case):
-    tp = case.program()
+    tp = parse_threaded_program(case.source)
     assert parse_threaded_program(print_threaded_program(tp)) == tp
 
 
