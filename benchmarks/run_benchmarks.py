@@ -39,9 +39,6 @@ workloads and writes ``BENCH_smt.json``:
   fresh-per-VC vs through one shared
   :class:`repro.smt.session.SolverSession` (assumption-activated VCs
   over one clause database, retired after each query);
-* ``persistent_cache`` — a VC corpus run cold (empty store) vs warm
-  (store saved, reloaded into a cold process state, and replayed):
-  the ``--cache-dir`` profile of repeated CLI/CI invocations;
 * ``static_prepass`` — end-to-end corpus verification with the
   information-flow fast path (:mod:`repro.analysis`) enabled vs
   disabled: prepass-secure cases skip VC generation and SMT entirely
@@ -683,59 +680,6 @@ def bench_incremental_vc(quick):
     return cases
 
 
-def bench_persistent_cache(quick):
-    """Cold corpus run (empty persistent store) vs warm replay (store
-    saved, process state cleared, store reloaded) — the ``--cache-dir``
-    profile of repeated CLI/CI invocations."""
-    import tempfile
-    from pathlib import Path as _Path
-
-    entries = []
-    for name, formula, scope, sorts in conformance_vcs():
-        entries.append((name, formula, scope, sorts))
-    count = 6 if quick else 16
-    for index, formula in enumerate(related_skeleton_family(count, 24, "pc_")):
-        entries.append((f"skeleton/{index}", formula, None, None))
-    for index, formula in enumerate(related_euf_family(count, 10, "pc_")):
-        entries.append((f"euf/{index}", formula, None, None))
-
-    def run_corpus():
-        return [
-            check_validity(formula, scope=scope, sorts=sorts).verdict.value
-            for _name, formula, scope, sorts in entries
-        ]
-
-    with tempfile.TemporaryDirectory() as directory:
-        store = _Path(directory) / "validity_cache.json"
-        VALIDITY_CACHE.forget_persistent()
-        clear_all_caches()
-        VALIDITY_CACHE.enable_persistence()
-        cold_elapsed, cold = timed(run_corpus)
-        saved = VALIDITY_CACHE.save(store)
-
-        VALIDITY_CACHE.forget_persistent()
-        clear_all_caches()
-        loaded = VALIDITY_CACHE.load(store)
-        warm_elapsed, warm = timed(run_corpus)
-        hits = VALIDITY_CACHE.stats()["persistent_hits"]
-        VALIDITY_CACHE.forget_persistent()
-        clear_all_caches()
-
-    return [
-        {
-            "corpus": f"{len(entries)} VCs (conformance + skeleton + EUF)",
-            "reference_s": round(cold_elapsed, 6),
-            "optimized_s": round(warm_elapsed, 6),
-            "speedup": round(cold_elapsed / warm_elapsed, 2) if warm_elapsed else None,
-            "saved_entries": saved,
-            "loaded_entries": loaded,
-            "persistent_hits": hits,
-            "hit_rate": round(hits / len(entries), 3),
-            "verdicts_agree": cold == warm,
-        }
-    ]
-
-
 def bench_static_prepass(quick):
     """The static pre-verification axis (repro.analysis): end-to-end
     corpus verification with the information-flow fast path enabled vs
@@ -1005,19 +949,6 @@ def main(argv=None) -> int:
         )
     print(f"  overall: x{workloads['incremental_vc']['speedup']}")
 
-    print("== persistent_cache (cold store vs warm replay) ==")
-    cases = bench_persistent_cache(args.quick)
-    workloads["persistent_cache"] = {"cases": cases, **summarize(cases)}
-    for case in cases:
-        print(
-            f"  {case['corpus']:>40s} "
-            f"cold {case['reference_s'] * 1000:8.2f} ms  "
-            f"warm {case['optimized_s'] * 1000:8.2f} ms  "
-            f"x{case['speedup']:<6}  hit_rate={case['hit_rate']}  "
-            f"agree={case['verdicts_agree']}"
-        )
-    print(f"  overall: x{workloads['persistent_cache']['speedup']}")
-
     print("== static_prepass (information-flow fast path vs full pipeline) ==")
     cases = bench_static_prepass(args.quick)
     discharged = sum(case["discharged_solver_free"] for case in cases)
@@ -1074,15 +1005,11 @@ def main(argv=None) -> int:
             ),
             "spec_inference_speedup": workloads["spec_inference"]["speedup"],
             "incremental_vc_speedup": workloads["incremental_vc"]["speedup"],
-            "persistent_cache_speedup": workloads["persistent_cache"]["speedup"],
             "static_prepass_speedup": workloads["static_prepass"]["speedup"],
             "static_prepass_discharged_solver_free": workloads["static_prepass"][
                 "discharged_solver_free"
             ],
             "fuzz_corpus_speedup": workloads["fuzz_corpus"]["speedup"],
-            "warm_cache_hit_rate": workloads["persistent_cache"]["cases"][0][
-                "hit_rate"
-            ],
             "dpllt_models_blocked": sum(
                 case["optimized_blocked"]
                 for case in workloads["dpllt_incremental"]["cases"]

@@ -4,10 +4,8 @@ Usage::
 
     python -m repro                        # verify all case studies
     python -m repro "Figure 3"             # one case study, full detail
-    python -m repro --jobs 4               # fan VCs over 4 workers
-    python -m repro --cache-dir .vcache    # persistent validity cache
 
-    python -m repro serve  --socket /tmp/repro.sock --cache-dir .vcache
+    python -m repro serve  --socket /tmp/repro.sock
     python -m repro client --socket /tmp/repro.sock "Figure 3" "Figure 1"
     python -m repro client --socket /tmp/repro.sock --all --tenant team-a
     python -m repro client --socket /tmp/repro.sock --stats
@@ -24,10 +22,8 @@ socket (or ``--host``/``--port``), ``bench`` measures cold-vs-warm
 batch times through the :mod:`repro.api` facade, and ``lint`` runs the
 static analyses of :mod:`repro.analysis` (lockset races, flow leaks,
 lint rules) over program files, embedded Python literals, or the case
-catalogue — no solver involved.  ``--jobs``/``--cache-dir`` are shared
-plumbing: ``--jobs 0`` uses every core, and ``--cache-dir`` loads
-``<dir>/validity_cache.json`` before verifying and saves it (merged
-with concurrent writers) afterwards.
+catalogue — no solver involved.  Every run starts from an empty
+in-memory validity cache; no solver state is read from or written to disk.
 """
 
 from __future__ import annotations
@@ -36,84 +32,11 @@ import argparse
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import List
 
 from . import api
-from .parallel import default_jobs
-
-CACHE_FILENAME = api.CACHE_FILENAME
 
 SUBCOMMANDS = ("verify", "serve", "client", "bench", "lint", "fuzz")
-
-
-# ---------------------------------------------------------------------------
-# Shared plumbing
-# ---------------------------------------------------------------------------
-
-
-def _add_shared(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for independent VC discharge (0 = all cores)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help=f"persist the validity cache to DIR/{CACHE_FILENAME} across runs",
-    )
-
-
-def _resolve_jobs(jobs: int) -> int:
-    return default_jobs() if jobs == 0 else max(1, jobs)
-
-
-class _CacheScope:
-    """CLI-side explicit cache handle: load before, save + report after.
-
-    The cache is constructed here and installed as the scoped default —
-    no reaching into the deprecated process singleton.  ``report()`` is
-    explicit (not part of ``__exit__``) so error paths can skip the
-    save, exactly as the historical flat CLI did.
-    """
-
-    def __init__(self, cache_dir: Optional[str]) -> None:
-        from .smt.cache import ValidityCache, using_cache
-
-        self.cache = ValidityCache()
-        self.path: Optional[Path] = None
-        self._using = using_cache
-        self._scope = None
-        if cache_dir is not None:
-            directory = Path(cache_dir)
-            directory.mkdir(parents=True, exist_ok=True)
-            self.path = directory / CACHE_FILENAME
-            loaded = self.cache.load(self.path)
-            print(
-                f"validity cache: loaded {loaded} persistent "
-                f"entr{'y' if loaded == 1 else 'ies'} from {self.path}"
-            )
-
-    def __enter__(self) -> "_CacheScope":
-        self._scope = self._using(self.cache)
-        self._scope.__enter__()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._scope.__exit__(*exc)
-
-    def report(self) -> None:
-        if self.path is None:
-            return
-        saved = self.cache.save(self.path)
-        stats = self.cache.stats()
-        print(
-            f"validity cache: {stats['hits']} memory hits, "
-            f"{stats['persistent_hits']} persistent hits, "
-            f"{stats['misses']} misses; saved {saved} entries to {self.path}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +44,7 @@ class _CacheScope:
 # ---------------------------------------------------------------------------
 
 
-def _print_all(jobs: int, static_prepass: bool = True) -> int:
+def _print_all(static_prepass: bool = True) -> int:
     from .casestudies import ALL_CASES
 
     width = 96
@@ -131,8 +54,7 @@ def _print_all(jobs: int, static_prepass: bool = True) -> int:
     failures = 0
     for case in ALL_CASES:
         verdict = api.execute(
-            api.VerificationRequest(case=case.name, static_prepass=static_prepass),
-            jobs=jobs,
+            api.VerificationRequest(case=case.name, static_prepass=static_prepass)
         )
         expected = "secure" if case.expected_verified else "insecure"
         outcome = "VERIFIED" if verdict.verified else "REJECTED"
@@ -153,7 +75,7 @@ def _print_all(jobs: int, static_prepass: bool = True) -> int:
     return 0
 
 
-def _print_one(name: str, jobs: int, static_prepass: bool = True) -> int:
+def _print_one(name: str, static_prepass: bool = True) -> int:
     from .casestudies import case_by_name
 
     case = case_by_name(name)
@@ -163,8 +85,7 @@ def _print_one(name: str, jobs: int, static_prepass: bool = True) -> int:
     print(case.source.strip())
     print("\n--- verification ---")
     verdict = api.execute(
-        api.VerificationRequest(case=case.name, static_prepass=static_prepass),
-        jobs=jobs,
+        api.VerificationRequest(case=case.name, static_prepass=static_prepass)
     )
     print(f"{verdict.name}: {'VERIFIED' if verdict.verified else 'REJECTED'}")
     if verdict.prepass == "secure":
@@ -181,20 +102,14 @@ def _print_one(name: str, jobs: int, static_prepass: bool = True) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    jobs = _resolve_jobs(args.jobs)
-    scope = _CacheScope(args.cache_dir)
     static_prepass = not getattr(args, "no_static_prepass", False)
-    with scope:
-        try:
-            if args.case is not None:
-                status = _print_one(args.case, jobs, static_prepass)
-            else:
-                status = _print_all(jobs, static_prepass)
-        except (KeyError, api.RequestError) as error:
-            print(error)
-            return 2
-    scope.report()
-    return status
+    try:
+        if args.case is not None:
+            return _print_one(args.case, static_prepass)
+        return _print_all(static_prepass)
+    except (KeyError, api.RequestError) as error:
+        print(error)
+        return 2
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +127,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         socket_path=args.socket,
         host=args.host,
         port=args.port,
-        cache_dir=args.cache_dir,
-        max_sessions=args.max_sessions,
         vc_budget=args.vc_budget,
         batch_limit=args.batch_limit,
         timeout=args.timeout,
@@ -279,14 +192,11 @@ def _cmd_client(args: argparse.Namespace) -> int:
                     index = event.get("index", "-")
                     print(f"request {index}: {kind}: {event.get('reason')}")
                 elif kind == "done":
-                    stats = event.get("stats", {})
-                    pool = stats.get("pool", {})
-                    cache = stats.get("cache", {})
+                    cache = event.get("stats", {}).get("cache", {})
                     print(
                         f"batch done in {event.get('elapsed', 0.0):.2f}s — "
-                        f"sessions reused {pool.get('reused', 0)}, "
-                        f"cache hits {cache.get('hits', 0)} "
-                        f"(+{cache.get('persistent_hits', 0)} persistent)"
+                        f"in-memory cache hits {cache.get('hits', 0)}, "
+                        f"misses {cache.get('misses', 0)}"
                     )
             return 1 if failures else 0
     except ServiceError as error:
@@ -305,7 +215,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     names = list(args.cases) or [case.name for case in ALL_CASES]
     requests = [api.VerificationRequest(case=name) for name in names]
-    jobs = _resolve_jobs(args.jobs)
 
     if args.socket is not None or args.host is not None:
         with _client_endpoint(args) as client:
@@ -318,24 +227,21 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"warm speedup: x{timings[0] / timings[-1]:.1f}")
         return 0
 
-    scope = _CacheScope(args.cache_dir)
-    with scope:
-        from .smt.session import SolverSession
+    from .smt.session import SolverSession
 
-        session = SolverSession()
-        timings = []
-        for round_index in range(args.repeat):
-            start = time.perf_counter()
-            report = api.verify_batch(requests, session=session, jobs=jobs)
-            elapsed = time.perf_counter() - start
-            timings.append(elapsed)
-            print(
-                f"round {round_index + 1}: {elapsed:.3f}s "
-                f"(ok={report.ok}, session queries={report.stats['session']['queries']})"
-            )
-        if len(timings) > 1 and timings[-1] > 0:
-            print(f"warm speedup: x{timings[0] / timings[-1]:.1f}")
-    scope.report()
+    session = SolverSession()
+    timings = []
+    for round_index in range(args.repeat):
+        start = time.perf_counter()
+        report = api.verify_batch(requests, session=session)
+        elapsed = time.perf_counter() - start
+        timings.append(elapsed)
+        print(
+            f"round {round_index + 1}: {elapsed:.3f}s "
+            f"(ok={report.ok}, session queries={report.stats['session']['queries']})"
+        )
+    if len(timings) > 1 and timings[-1] > 0:
+        print(f"warm speedup: x{timings[0] / timings[-1]:.1f}")
     return 0
 
 
@@ -494,7 +400,6 @@ def _build_verify_parser(prog: str) -> argparse.ArgumentParser:
         "VC generation + SMT discharge; verdicts are unchanged, only "
         "wall-clock time)",
     )
-    _add_shared(parser)
     return parser
 
 
@@ -506,7 +411,6 @@ def _build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--socket", default=None, metavar="PATH", help="unix socket to listen on")
     parser.add_argument("--host", default=None, help="TCP host to listen on (e.g. 127.0.0.1)")
     parser.add_argument("--port", type=int, default=0, help="TCP port (0 = ephemeral)")
-    parser.add_argument("--max-sessions", type=int, default=8, help="solver-session pool size")
     parser.add_argument(
         "--vc-budget",
         type=int,
@@ -523,7 +427,7 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker processes (warm solver slots; default 2)",
+        help="worker processes (default 2)",
     )
     parser.add_argument(
         "--queue-deadline",
@@ -537,7 +441,6 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="honour _fault hooks in batch requests (tests/chaos drills only)",
     )
-    _add_shared(parser)
     return parser
 
 
@@ -554,7 +457,6 @@ def _build_client_parser() -> argparse.ArgumentParser:
     parser.add_argument("--all", action="store_true", help="send the full corpus")
     parser.add_argument("--stats", action="store_true", help="print daemon stats and exit")
     parser.add_argument("--shutdown", action="store_true", help="ask the daemon to exit")
-    _add_shared(parser)
     return parser
 
 
@@ -571,52 +473,49 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         # demonstrably catches and shrinks an unsound verdict.
         install_unsound_hook(lambda case: case.mutation is not None)
 
-    with _CacheScope(args.cache_dir) as scope:
-        if args.repro:
-            # Replay mode: re-run the differential oracle on repro files.
-            exit_code = 0
-            session = SolverSession()
-            for path in args.repro:
-                case, recorded = load_repro(path)
-                outcome = check_case(
-                    case, session=session, schedules=args.schedules, seed=args.seed
-                )
-                kind = failure_kind(outcome) or "no-failure"
-                marker = "REPRODUCED" if kind == recorded else "CHANGED"
-                if kind == "no-failure":
-                    marker = "NOT REPRODUCED"
-                    exit_code = 1
-                print(
-                    f"{path}: recorded {recorded}, now {kind} -> {marker} "
-                    f"(verified={outcome.verified}, "
-                    f"empirical={outcome.empirical_secure}, mode={outcome.empirical_mode})"
-                )
-            scope.report()
-            return exit_code
+    if args.repro:
+        # Replay mode: re-run the differential oracle on repro files.
+        exit_code = 0
+        session = SolverSession()
+        for path in args.repro:
+            case, recorded = load_repro(path)
+            outcome = check_case(
+                case, session=session, schedules=args.schedules, seed=args.seed
+            )
+            kind = failure_kind(outcome) or "no-failure"
+            marker = "REPRODUCED" if kind == recorded else "CHANGED"
+            if kind == "no-failure":
+                marker = "NOT REPRODUCED"
+                exit_code = 1
+            print(
+                f"{path}: recorded {recorded}, now {kind} -> {marker} "
+                f"(verified={outcome.verified}, "
+                f"empirical={outcome.empirical_secure}, mode={outcome.empirical_mode})"
+            )
+        return exit_code
 
-        config = FuzzConfig(
-            seed=args.seed,
-            count=args.count,
-            budget=args.budget,
-            shrink=not args.no_shrink,
-            schedules=args.schedules,
-            repro_dir=args.repro_dir,
-        )
+    config = FuzzConfig(
+        seed=args.seed,
+        count=args.count,
+        budget=args.budget,
+        shrink=not args.no_shrink,
+        schedules=args.schedules,
+        repro_dir=args.repro_dir,
+    )
 
-        def progress(index: int, outcome) -> None:
-            if args.verbose:
-                kind = failure_kind(outcome) or "ok"
-                print(
-                    f"[{index}] {outcome.case.name} {outcome.case.family}"
-                    f"{' +' + outcome.case.mutation if outcome.case.mutation else ''}: "
-                    f"verified={outcome.verified} prepass={outcome.prepass} "
-                    f"empirical={outcome.empirical_secure} ({outcome.empirical_mode}) {kind}"
-                )
-            elif index and index % 50 == 0:
-                print(f"... {index} cases", flush=True)
+    def progress(index: int, outcome) -> None:
+        if args.verbose:
+            kind = failure_kind(outcome) or "ok"
+            print(
+                f"[{index}] {outcome.case.name} {outcome.case.family}"
+                f"{' +' + outcome.case.mutation if outcome.case.mutation else ''}: "
+                f"verified={outcome.verified} prepass={outcome.prepass} "
+                f"empirical={outcome.empirical_secure} ({outcome.empirical_mode}) {kind}"
+            )
+        elif index and index % 50 == 0:
+            print(f"... {index} cases", flush=True)
 
-        report = run_campaign(config, progress=progress)
-        scope.report()
+    report = run_campaign(config, progress=progress)
 
     counters = report["counters"]
     print(
@@ -693,7 +592,6 @@ def _build_fuzz_parser() -> argparse.ArgumentParser:
         help="TESTING: force-verify mutated cases to prove the oracle catches them",
     )
     parser.add_argument("--verbose", action="store_true", help="per-case progress lines")
-    _add_shared(parser)
     return parser
 
 
@@ -708,7 +606,6 @@ def _build_bench_parser() -> argparse.ArgumentParser:
     parser.add_argument("--host", default=None, help="daemon TCP host")
     parser.add_argument("--port", type=int, default=None, help="daemon TCP port")
     parser.add_argument("--tenant", default="default", help="tenant for daemon benches")
-    _add_shared(parser)
     return parser
 
 

@@ -2,7 +2,7 @@
 
 Everything a caller needs to drive verification programmatically goes
 through this module: the CLI subcommands, the verification daemon
-(:mod:`repro.server`), its client (:mod:`repro.client`) and the parallel
+(:mod:`repro.server`), its client (:mod:`repro.client`) and the daemon's
 workers all route through the same typed request/verdict types, so the
 wire schema, the in-process API and the command line cannot drift apart.
 
@@ -20,15 +20,14 @@ The three layers:
   canonical comparison surface the differential harness pins against
   fresh in-process :func:`repro.verifier.frontend.verify` runs.
 * **Execution** — :func:`execute` / :func:`verify_batch` run requests in
-  process (optionally on a caller-owned warm
-  :class:`~repro.smt.session.SolverSession`), and :func:`open_cache`
-  scopes an *explicit* persistent-cache handle: the cache is constructed
-  and passed through this facade rather than reached through a
-  process-global singleton.
+  process, optionally on a caller-owned
+  :class:`~repro.smt.session.SolverSession` and under an explicit
+  in-memory :class:`~repro.smt.cache.ValidityCache`.
 
 A case request names any entry of :mod:`repro.casestudies`, the fork/join
-case studies included (their programs reach the pipeline already reduced
-to the structured calculus).  The engine entry points
+case studies included, and a program request may use procedures and
+``fork``/``join`` too: both reach the pipeline already reduced to the
+structured calculus.  The engine entry points
 (``repro.verifier.frontend.verify``, ``CaseStudy.verify``) remain
 supported — this module wraps them rather than replacing them — but new
 integrations should not reach around the facade: only the surface here is
@@ -38,19 +37,14 @@ covered by the wire-compatibility tests.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from .analysis.diagnostics import Diagnostic
 from .smt.cache import ValidityCache, using_cache
 from .smt.session import SolverSession
 from .smt.sorts import BOOL, INT, Sort
 from .smt.terms import App, Const, SymVar, Term
-
-#: File name used inside a ``--cache-dir`` (shared with the CLI).
-CACHE_FILENAME = "validity_cache.json"
 
 # -- Wire events of the service protocol (repro.server ↔ repro.client) ------
 #: Per-request terminal events inside a batch stream.  ``verdict`` and
@@ -331,14 +325,17 @@ class VerificationRequest:
             return case.program_spec(), case.instances
         if self.program is None:
             raise RequestError(f"request {self.label()!r} carries no program")
-        from .casestudies.base import make_instance_groups
-        from .lang.parser import ParseError, parse_program
+        from .casestudies.base import make_instance_groups, parse_program
+        from .lang.desugar import DesugarError
+        from .lang.parser import ParseError
         from .verifier.declarations import ProgramSpec
 
         try:
             program = parse_program(self.program)
         except ParseError as error:
             raise RequestError(f"program does not parse: {error}")
+        except DesugarError as error:
+            raise RequestError(f"program is outside the fork/join fragment: {error}")
         except Exception as error:  # noqa: BLE001 — parser errors vary
             raise RequestError(f"program does not parse: {error}")
         spec = ProgramSpec(
@@ -724,14 +721,13 @@ def execute(
     request: VerificationRequest,
     *,
     session: Optional[SolverSession] = None,
-    jobs: int = 1,
     sorts: Optional[Mapping[str, Sort]] = None,
     cache: Optional[ValidityCache] = None,
 ) -> Verdict:
     """Run one request in-process and return its typed verdict.
 
-    ``session`` reuses a caller-owned warm solver session (the daemon's
-    per-tenant pooled session); ``sorts`` folds extra per-variable sort
+    ``session`` runs the request on a caller-owned solver session (the
+    daemon's worker builds one per request); ``sorts`` folds extra per-variable sort
     overrides *under* the request's own (formula requests only — the
     daemon passes the tenant's overrides here); ``cache`` scopes an
     explicit validity-cache handle for the duration of the call.
@@ -773,7 +769,6 @@ def execute(
         result = verify(
             spec,
             bounded_instances=instances,
-            jobs=jobs,
             session=session,
             static_prepass=request.static_prepass,
         )
@@ -791,20 +786,19 @@ def verify_batch(
     requests: Sequence[VerificationRequest],
     *,
     session: Optional[SolverSession] = None,
-    jobs: int = 1,
     cache: Optional[ValidityCache] = None,
 ) -> BatchReport:
     """Run a batch of requests on one shared session, in order.
 
     All compatible obligations of the batch land on the same
     incremental sub-sessions (one per fragment), so later requests reuse
-    earlier requests' learned clauses and Tseitin definitions — the
-    in-process equivalent of what the daemon does per tenant.
+    earlier requests' learned clauses and Tseitin definitions; no
+    verdict depends on that history.
     """
     start = time.perf_counter()
     shared = session if session is not None else SolverSession()
     verdicts = tuple(
-        execute(request, session=shared, jobs=jobs, cache=cache)
+        execute(request, session=shared, cache=cache)
         for request in requests
     )
     elapsed = time.perf_counter() - start
@@ -815,70 +809,8 @@ def verify_batch(
     )
 
 
-# ---------------------------------------------------------------------------
-# Explicit cache handles
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CacheHandle:
-    """An explicit validity-cache handle: the cache object plus where
-    (if anywhere) it persists.  Constructed by :func:`open_cache`."""
-
-    cache: ValidityCache
-    path: Optional[Path] = None
-
-    def stats(self) -> Dict[str, int]:
-        return self.cache.stats()
-
-    def save(self) -> int:
-        """Flush to disk now (also done automatically on context exit)."""
-        if self.path is None:
-            return 0
-        return self.cache.save(self.path)
-
-
-@contextmanager
-def open_cache(
-    cache_dir: Optional[Any] = None,
-    namespace: str = "",
-    cache: Optional[ValidityCache] = None,
-) -> Iterator[CacheHandle]:
-    """Construct (or wrap) a validity cache, install it as the scoped
-    default, and persist it on exit.
-
-    The handle is explicit rather than a process-global singleton, the
-    installation is scoped (the previous default is restored on exit),
-    and tenancy is a constructor argument rather than hidden state::
-
-        with open_cache(".vcache", namespace="tenant-a") as handle:
-            report = verify_batch(requests)
-        print(handle.stats())
-
-    ``cache_dir`` of ``None`` keeps the cache purely in-memory (no
-    persistence activation); passing an existing ``cache`` reuses it
-    instead of constructing a fresh one.
-    """
-    handle_cache = cache if cache is not None else ValidityCache()
-    if namespace:
-        handle_cache.set_namespace(namespace)
-    path: Optional[Path] = None
-    if cache_dir is not None:
-        directory = Path(cache_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / CACHE_FILENAME
-        handle_cache.load(path)
-    handle = CacheHandle(cache=handle_cache, path=path)
-    with using_cache(handle_cache):
-        yield handle
-    if path is not None:
-        handle_cache.save(path)
-
-
 __all__ = [
     "BatchReport",
-    "CacheHandle",
-    "CACHE_FILENAME",
     "DECIDED_EVENTS",
     "Diagnostic",
     "EVENT_ACCEPTED",
@@ -903,7 +835,6 @@ __all__ = [
     "VerificationRequest",
     "estimate_vc_count",
     "execute",
-    "open_cache",
     "sort_from_wire",
     "static_verdict",
     "term_from_wire",

@@ -1,12 +1,11 @@
 """Verification-as-a-service: the long-lived asyncio daemon.
 
-Everything expensive in this repository is reusable across queries —
-interned term tables (:mod:`repro.smt.intern`), incremental
-:class:`~repro.smt.session.SolverSession` s with assumption-activated
-VCs, the in-memory + persistent validity cache
-(:mod:`repro.smt.cache`) — but a ``python -m repro`` invocation pays
-cold-start for all of it.  :class:`VerificationServer` keeps that warm
-state alive behind a batched request API:
+A ``python -m repro`` invocation pays package import and cold interned
+term tables (:mod:`repro.smt.intern`) and an empty in-memory validity
+cache (:mod:`repro.smt.cache`) every time.  :class:`VerificationServer`
+keeps those alive behind a batched request API.  No solver session
+outlives a request: each one runs on a
+:class:`~repro.smt.session.SolverSession` of its own.
 
 * **Transport** — a unix socket first (``python -m repro serve --socket
   PATH``), optionally localhost TCP (``--host/--port``).  Framing is
@@ -17,23 +16,16 @@ state alive behind a batched request API:
   :data:`repro.api.WIRE_EVENTS`).
 * **A supervised process pool** — solving is CPU-bound Python, so the
   daemon runs one warm *worker process* per slot
-  (:func:`repro.worker.worker_main`), each holding its own
-  :class:`~repro.smt.session.SessionPool` of per-tenant sessions and a
-  worker-local validity cache seeded from the supervisor's store at
-  spawn.  Routing is **tenant-affine**: a tenant's batches keep hitting
-  the same worker (first touch picks the least-loaded slot), so its
-  learned clauses, Tseitin definitions and cache entries stay warm,
-  while batches from *different* tenants solve genuinely concurrently
-  in separate processes.  Every worker reply ships its cache delta,
-  which the supervisor merges into the server-owned store
-  (:meth:`~repro.smt.cache.ValidityCache.merge` — the
-  :mod:`repro.parallel` delta machinery) and re-seeds into every
-  later spawn.
+  (:func:`repro.worker.worker_main`), each holding its own in-memory
+  validity cache.  Routing is **tenant-affine**: a tenant's batches
+  keep hitting the same worker (first touch picks the least-loaded
+  slot), so its cache entries stay warm, while batches from *different*
+  tenants solve genuinely concurrently in separate processes.
 * **Real timeout interruption** — a request over its wall-clock budget
   gets its worker process SIGKILLed (the PID is gone, the CPU returns
   to idle), a fresh worker is spawned in the slot, and the client gets
-  a ``timeout`` event.  Only the sessions living in that worker are
-  lost; other workers' in-flight requests never notice.
+  a ``timeout`` event.  Only that worker's cache is lost; other
+  workers' in-flight requests never notice.
 * **Crash isolation** — a worker dying mid-request (segfault, OOM
   kill, broken pipe) is detected by the supervisor, counted in
   ``stats["worker_crashes"]``, and the request is transparently
@@ -49,10 +41,10 @@ state alive behind a batched request API:
   a ``retry_after`` event (counted in ``stats["load_shed"]``) instead
   of queueing unboundedly — :class:`repro.client.ServiceClient`
   retries those with bounded backoff.
-* **Multi-tenancy** — cache entries are namespaced per tenant on top
-  of the fingerprint keys of :func:`repro.smt.cache.term_fingerprint`;
-  tenants can carry sort overrides and per-tenant solver budgets
-  (``max_models``), configured over the wire with the ``tenant`` op.
+* **Multi-tenancy** — cache entries are namespaced per tenant
+  (:meth:`repro.smt.cache.ValidityCache.namespaced`); tenants can carry
+  sort overrides and per-tenant solver budgets (``max_models``),
+  configured over the wire with the ``tenant`` op.
 
 * **Static pre-verification on the admission path** — a request whose
   VC estimate is over budget gets one more chance: when the static
@@ -91,8 +83,6 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from . import api
 from .analysis import lint_case, run_lint, sort_diagnostics, target_from_source
-from .smt.session import merge_pool_stats
-from .smt.cache import ValidityCache
 from .worker import worker_main
 
 #: Default per-request verification-condition budget (admission control).
@@ -114,8 +104,7 @@ _TIMED_OUT = object()
 
 def _mp_context():
     """Fork when available (workers inherit the warm interned tables for
-    free); spawn elsewhere.  The repo already forks under pytest via
-    :mod:`repro.parallel`, so this is established behaviour."""
+    free); spawn elsewhere."""
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover — non-fork platform
@@ -194,9 +183,6 @@ class VerificationServer:
         socket_path: Optional[Any] = None,
         host: Optional[str] = None,
         port: Optional[int] = None,
-        cache_dir: Optional[Any] = None,
-        max_sessions: int = 8,
-        max_live_clauses: Optional[int] = 200_000,
         vc_budget: int = DEFAULT_VC_BUDGET,
         batch_limit: int = DEFAULT_BATCH_LIMIT,
         timeout: float = DEFAULT_TIMEOUT,
@@ -209,29 +195,20 @@ class VerificationServer:
         self.socket_path = Path(socket_path) if socket_path is not None else None
         self.host = host
         self.port = port
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.max_sessions = max_sessions
-        self.max_live_clauses = max_live_clauses
         self.vc_budget = vc_budget
         self.batch_limit = batch_limit
         self.timeout = timeout
         self.queue_deadline = queue_deadline
         self.fault_injection = fault_injection
 
-        #: The server-owned cache — the authoritative merged store.
-        #: Workers solve against their own copies seeded from this one
-        #: at spawn; their per-reply deltas are merged back here.
-        self.cache = ValidityCache()
-        self._cache_path: Optional[Path] = None
         self._tenants: Dict[str, _TenantState] = {}
 
         self._workers: List[_WorkerHandle] = [
             _WorkerHandle(index) for index in range(max(1, workers))
         ]
         self._affinity: Dict[str, int] = {}
-        #: Counter accumulators for workers that died (their last
-        #: snapshot would otherwise vanish from aggregated stats).
-        self._dead_pool: Dict[str, int] = {}
+        #: Cache counters of workers that died (their last snapshot
+        #: would otherwise vanish from aggregated stats).
         self._dead_cache: Dict[str, int] = {}
 
         self.timeouts = 0
@@ -249,25 +226,12 @@ class VerificationServer:
 
     # -- worker lifecycle --------------------------------------------------
 
-    def _worker_init(self) -> Dict[str, Any]:
-        """The spawn payload: warm-start cache snapshot + pool bounds.
-        Built fresh per spawn, so a respawned worker starts with every
-        delta its predecessors (on any slot) merged back."""
-        return {
-            "cache_entries": self.cache.snapshot_persistent(),
-            "cache_active": True,
-            "cache_path": str(self._cache_path) if self._cache_path else None,
-            "max_sessions": self.max_sessions,
-            "max_live_clauses": self.max_live_clauses,
-            "fault_injection": self.fault_injection,
-        }
-
     def _spawn_worker(self, handle: _WorkerHandle) -> None:
         ctx = _mp_context()
         parent_conn, child_conn = ctx.Pipe()
         proc = ctx.Process(
             target=worker_main,
-            args=(child_conn, self._worker_init()),
+            args=(child_conn, {"fault_injection": self.fault_injection}),
             name=f"repro-worker-{handle.index}",
             daemon=True,
         )
@@ -305,10 +269,7 @@ class VerificationServer:
 
     def _accumulate_dead_stats(self, handle: _WorkerHandle) -> None:
         snapshot = handle.last_stats
-        for key, value in (snapshot.get("pool") or {}).items():
-            if isinstance(value, int):
-                self._dead_pool[key] = self._dead_pool.get(key, 0) + value
-        for key in ("hits", "misses", "persistent_hits"):
+        for key in ("hits", "misses"):
             value = (snapshot.get("cache") or {}).get(key, 0)
             self._dead_cache[key] = self._dead_cache.get(key, 0) + value
         handle.last_stats = {}
@@ -317,7 +278,7 @@ class VerificationServer:
         """The tenant's sticky worker slot: first touch picks the slot
         with the fewest assigned tenants (ties → lowest index), so with
         tenants ≤ workers each tenant gets a slot of its own and a kill
-        costs exactly one tenant its warm state."""
+        costs exactly one tenant its warm cache."""
         index = self._affinity.get(tenant)
         if index is None:
             loads = [0] * len(self._workers)
@@ -331,15 +292,6 @@ class VerificationServer:
 
     async def start(self) -> None:
         self._started = time.monotonic()
-        if self.cache_dir is not None:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            self._cache_path = self.cache_dir / api.CACHE_FILENAME
-            self.cache.load(self._cache_path)
-        else:
-            # Still fingerprint decisive results: served stats expose
-            # persistent_size/persistent_hits even without a disk store,
-            # and worker deltas need fingerprint keys to merge at all.
-            self.cache.enable_persistence()
         for handle in self._workers:
             self._spawn_worker(handle)
         if self.socket_path is not None:
@@ -367,8 +319,6 @@ class VerificationServer:
                 except (BrokenPipeError, OSError, ValueError):
                     pass
             self._reap_worker(handle, kill=True)
-        if self._cache_path is not None:
-            self.cache.save(self._cache_path)
         if self.socket_path is not None and self.socket_path.exists():
             self.socket_path.unlink()
 
@@ -379,7 +329,7 @@ class VerificationServer:
 
     def run(self, announce: bool = False) -> None:
         """Blocking entry point: serve until a ``shutdown`` op (or
-        KeyboardInterrupt), then flush the cache and clean up.
+        KeyboardInterrupt), then clean up.
         ``announce`` prints the bound endpoints once listening."""
 
         async def _main() -> None:
@@ -433,9 +383,8 @@ class VerificationServer:
         sorts: Optional[Mapping[str, str]] = None,
     ) -> TenantConfig:
         """Install per-tenant policy (also reachable over the wire via
-        the ``tenant`` op).  Reconfiguring retires the tenant's session
-        on its affine worker so new policy (e.g. ``max_models``) takes
-        effect immediately."""
+        the ``tenant`` op).  New policy (e.g. ``max_models``) applies
+        from the tenant's next request, which builds its own session."""
         state = self.tenant(name)
         config = state.config
         if namespace is not None:
@@ -452,44 +401,21 @@ class VerificationServer:
         # first batch) so explicit configuration yields deterministic
         # routing — what the affinity regression tests rely on.
         self._affine_worker(name)
-        self._retire_tenant_session(name)
         return config
-
-    def _retire_tenant_session(self, tenant: str) -> None:
-        """Ask the tenant's affine worker to drop its pooled session
-        (fire-and-forget; the worker processes it after any in-flight
-        request)."""
-        index = self._affinity.get(tenant)
-        if index is None:
-            return
-        handle = self._workers[index]
-        if handle.conn is None:
-            return
-        try:
-            handle.conn.send({"op": "retire", "tenant": tenant})
-        except (BrokenPipeError, OSError, ValueError):
-            pass
 
     # -- stats ------------------------------------------------------------
 
-    def _aggregate_pool_stats(self) -> Dict[str, Any]:
-        snapshots = [
-            handle.last_stats["pool"]
-            for handle in self._workers
-            if handle.last_stats.get("pool")
-        ]
-        merged = merge_pool_stats(snapshots, baseline=self._dead_pool)
-        merged["max_sessions"] = self.max_sessions
-        return merged
-
     def _aggregate_cache_stats(self) -> Dict[str, int]:
-        stats = self.cache.stats()
-        for key in ("hits", "misses", "persistent_hits"):
-            total = self._dead_cache.get(key, 0)
-            for handle in self._workers:
-                total += (handle.last_stats.get("cache") or {}).get(key, 0)
-            stats[key] += total
-        return stats
+        """Cache counters summed over live workers' last snapshots, plus
+        the hits/misses of workers that died (their entries died too)."""
+        return {
+            key: self._dead_cache.get(key, 0)
+            + sum(
+                (handle.last_stats.get("cache") or {}).get(key, 0)
+                for handle in self._workers
+            )
+            for key in ("hits", "misses", "size")
+        }
 
     def stats(self) -> Dict[str, Any]:
         return {
@@ -503,7 +429,6 @@ class VerificationServer:
             "prepass_admissions": self.prepass_admissions,
             "lints": self.lints_served,
             "queue_deadline": self.queue_deadline,
-            "pool": self._aggregate_pool_stats(),
             "cache": self._aggregate_cache_stats(),
             "workers": [
                 {
@@ -786,11 +711,7 @@ class VerificationServer:
                 worker.lock.release()
             await self._emit(writer, tag(event))
 
-        # elapsed measures request processing; the cache flush that
-        # follows is bookkeeping whose cost grows with the whole store.
         elapsed = time.perf_counter() - start
-        if self._cache_path is not None:
-            self.cache.save(self._cache_path)
         await self._emit(
             writer,
             tag({"event": "done", "elapsed": elapsed, "stats": self.stats()}),
@@ -854,9 +775,6 @@ class VerificationServer:
         reply = task.result()
         if reply is _CRASHED or not isinstance(reply, dict):
             return _CRASHED
-        delta = reply.get("cache_delta")
-        if delta:
-            self.cache.merge(delta)
         stats = reply.get("stats")
         if isinstance(stats, dict):
             handle.last_stats = stats
@@ -895,8 +813,7 @@ class VerificationServer:
                     "index": index,
                     "reason": (
                         f"request exceeded the {self.timeout:.0f}s wall-clock "
-                        f"budget; worker {worker.index} killed and respawned, "
-                        f"tenant session state reset"
+                        f"budget; worker {worker.index} killed and respawned"
                     ),
                 }
             if outcome is _CRASHED:

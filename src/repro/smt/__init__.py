@@ -5,7 +5,7 @@ terms (interning), memoized simplification, a CDCL DPLL(T) core with a
 theory propagator stack (congruence closure for equality atoms,
 an incremental difference-logic constraint graph for integer order
 atoms), compiled bounded enumeration, incremental solver sessions, and
-a cross-call validity cache with a persistent fingerprint-keyed layer.
+a cross-call in-memory validity cache.
 The seed's unoptimized algorithms are retained in
 :mod:`repro.smt.reference` as a correctness oracle and benchmark
 baseline.
@@ -22,9 +22,7 @@ from .arith import (
 from .cache import (
     ValidityCache,
     get_default,
-    persistent_key,
     set_default,
-    term_fingerprint,
     using_cache,
 )
 from .cnf import AtomTable, TseitinConverter, cnf_of, is_atom, to_nnf, tseitin
@@ -38,7 +36,7 @@ from .euf import (
     congruence_closure_consistent,
     is_equality_atom,
 )
-from .session import SessionPool, SolverSession, in_euf_fragment, in_mixed_fragment
+from .session import SolverSession, in_euf_fragment, in_mixed_fragment
 from .simplify import is_literally_true, simplify
 from .solver import Result, Verdict, check_validity, find_model
 from .sorts import (
@@ -78,7 +76,6 @@ __all__ = [
     "DifferenceLogicPropagator",
     "EqualityPropagator",
     "PropagatorStack",
-    "SessionPool",
     "SolverSession",
     "TseitinConverter",
     "ValidityCache",
@@ -123,9 +120,7 @@ __all__ = [
     "mixed_consistent",
     "normalize_order_atom",
     "get_default",
-    "persistent_key",
     "set_default",
-    "term_fingerprint",
     "using_cache",
     "is_literally_true",
     "negate",

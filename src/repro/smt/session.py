@@ -46,8 +46,7 @@ verdict.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .arith import (
     DifferenceLogicPropagator,
@@ -167,8 +166,8 @@ class SolverSession:
     :func:`repro.smt.solver.check_validity` (``propositionally_valid`` →
     bool; ``theory_valid`` → True/False/None) and amortize conversion
     and search state across calls.  A session is single-threaded and
-    cheap to construct; create one per verification run (or per worker
-    process) and pass it to ``check_validity``.
+    cheap to construct; create one per verification run (or per daemon
+    request) and pass it to ``check_validity``.
     """
 
     __slots__ = (
@@ -323,187 +322,3 @@ class SolverSession:
                 sub.solver.minimized_literals for sub in subs
             ),
         }
-
-
-# ---------------------------------------------------------------------------
-# Session pooling (the daemon's warm-state keeper)
-# ---------------------------------------------------------------------------
-
-#: An eviction hook: ``hook(tenant, session, reason)``.
-EvictionHook = Callable[[str, SolverSession, str], None]
-
-
-class SessionPool:
-    """A keyed pool of warm :class:`SolverSession` instances.
-
-    The verification daemon keeps one session per *tenant* so that a
-    tenant's successive batches reuse learned clauses, Tseitin
-    definitions, VSIDS activities and theory lemmas, while tenants never
-    share a clause database (their sort overrides and atom tables could
-    otherwise poison each other's propagators).
-
-    Eviction keeps the pool bounded along two axes:
-
-    * **LRU** — at most ``max_sessions`` live sessions; acquiring a new
-      tenant beyond that evicts the least-recently-used one;
-    * **bloat** — :meth:`release` retires a session whose accumulated
-      live clause count exceeds ``max_live_clauses`` (clause databases
-      only shrink via :meth:`~repro.smt.dpll.WatchedSolver.retire`, so a
-      long-lived pathological tenant is cut off rather than slowing
-      every later query).
-
-    Hooks registered with :meth:`on_evict` observe every eviction with
-    its reason (``"lru"``, ``"bloat"``, ``"retired"``, ``"explicit"``) —
-    the server uses this to log and to surface eviction counts in served
-    stats.  A pool is single-threaded, like the sessions it holds.
-    """
-
-    __slots__ = (
-        "max_sessions",
-        "max_live_clauses",
-        "_factory",
-        "_sessions",
-        "_hooks",
-        "created",
-        "reused",
-        "evicted",
-        "retired",
-    )
-
-    def __init__(
-        self,
-        max_sessions: int = 8,
-        max_live_clauses: Optional[int] = None,
-        factory: Optional[Callable[[], SolverSession]] = None,
-    ) -> None:
-        self.max_sessions = max(1, max_sessions)
-        self.max_live_clauses = max_live_clauses
-        self._factory = factory if factory is not None else SolverSession
-        self._sessions: "OrderedDict[str, SolverSession]" = OrderedDict()
-        self._hooks: List[EvictionHook] = []
-        self.created = 0
-        self.reused = 0
-        self.evicted = 0
-        self.retired = 0
-
-    def __len__(self) -> int:
-        return len(self._sessions)
-
-    def __contains__(self, tenant: str) -> bool:
-        return tenant in self._sessions
-
-    def on_evict(self, hook: EvictionHook) -> EvictionHook:
-        """Register an eviction observer; returns it (decorator-friendly)."""
-        self._hooks.append(hook)
-        return hook
-
-    def acquire(
-        self,
-        tenant: str = "default",
-        factory: Optional[Callable[[], SolverSession]] = None,
-    ) -> SolverSession:
-        """The tenant's warm session, created on first acquire (with
-        ``factory`` when given — per-tenant solver configuration).  Marks
-        the session most-recently-used; may LRU-evict another tenant."""
-        session = self._sessions.get(tenant)
-        if session is not None:
-            self._sessions.move_to_end(tenant)
-            self.reused += 1
-            return session
-        session = (factory or self._factory)()
-        self._sessions[tenant] = session
-        self.created += 1
-        while len(self._sessions) > self.max_sessions:
-            oldest = next(iter(self._sessions))
-            self._evict(oldest, "lru")
-        return session
-
-    def release(self, tenant: str) -> bool:
-        """Hand a session back after a batch.  Returns True if the
-        session survived, False if the bloat bound retired it."""
-        session = self._sessions.get(tenant)
-        if session is None:
-            return False
-        if (
-            self.max_live_clauses is not None
-            and session.stats()["live_clauses"] > self.max_live_clauses
-        ):
-            self._evict(tenant, "bloat")
-            return False
-        return True
-
-    def retire(self, tenant: str) -> bool:
-        """Discard the tenant's session unconditionally (the daemon's
-        response to a wall-clock timeout: the next acquire starts
-        fresh).  Returns True if a session was discarded."""
-        if tenant not in self._sessions:
-            return False
-        self.retired += 1
-        self._evict(tenant, "retired")
-        return True
-
-    def evict(self, tenant: str) -> bool:
-        """Explicitly drop one tenant's session (admin surface)."""
-        if tenant not in self._sessions:
-            return False
-        self._evict(tenant, "explicit")
-        return True
-
-    def clear(self) -> None:
-        for tenant in list(self._sessions):
-            self._evict(tenant, "explicit")
-
-    def _evict(self, tenant: str, reason: str) -> None:
-        session = self._sessions.pop(tenant)
-        self.evicted += 1
-        for hook in self._hooks:
-            hook(tenant, session, reason)
-
-    def stats(self) -> Dict[str, object]:
-        """Pool counters plus the aggregated per-tenant session stats —
-        the ``sessions`` block of the daemon's served stats."""
-        return {
-            "sessions": len(self._sessions),
-            "max_sessions": self.max_sessions,
-            "created": self.created,
-            "reused": self.reused,
-            "evicted": self.evicted,
-            "retired": self.retired,
-            "tenants": {
-                tenant: session.stats()
-                for tenant, session in self._sessions.items()
-            },
-        }
-
-
-def merge_pool_stats(
-    snapshots: Iterable[Mapping[str, object]],
-    baseline: Optional[Mapping[str, int]] = None,
-) -> Dict[str, object]:
-    """Fold several :meth:`SessionPool.stats` snapshots (one per daemon
-    worker process) into one pool-shaped view: counters sum, ``tenants``
-    union (tenant-affine routing keeps tenants disjoint across workers),
-    ``max_sessions`` is left for the caller (a per-worker bound, not a
-    sum).  ``baseline`` pre-seeds the counters — the accumulated totals
-    of workers that already died."""
-    merged: Dict[str, object] = {
-        "sessions": 0,
-        "max_sessions": 0,
-        "created": 0,
-        "reused": 0,
-        "evicted": 0,
-        "retired": 0,
-        "tenants": {},
-    }
-    for key, value in (baseline or {}).items():
-        if key in merged and isinstance(value, int) and key != "max_sessions":
-            merged[key] = merged[key] + value  # type: ignore[operator]
-    for snapshot in snapshots:
-        for key in ("sessions", "created", "reused", "evicted", "retired"):
-            value = snapshot.get(key, 0)
-            if isinstance(value, int):
-                merged[key] = merged[key] + value  # type: ignore[operator]
-        tenants = snapshot.get("tenants")
-        if isinstance(tenants, Mapping):
-            merged["tenants"].update(tenants)  # type: ignore[union-attr]
-    return merged

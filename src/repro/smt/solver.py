@@ -169,28 +169,21 @@ def check_validity(
     enumerator — a sound strengthening of BOUNDED into PROVED, never a
     change of acceptance.
 
-    With ``use_cache`` (default), decisive results are memoized across
-    calls keyed on the interned formula + scope + sorts; repeated
-    discharges of syntactically identical VCs are O(1).  When the
-    process-wide cache has its persistent layer active (loaded from a
-    ``--cache-dir`` store, or explicitly enabled), in-memory misses
-    additionally consult the fingerprint-keyed persistent entries, so
-    repeated CLI/CI invocations start warm.  Cache hits are flagged on
-    the result (``from_cache``) and the process-wide hit/miss counters
-    ride along on every result.
+    With ``use_cache`` (default), decisive results are memoized in memory
+    across calls keyed on the interned formula + scope + sorts; repeated
+    discharges of syntactically identical VCs are O(1).  Cache hits are
+    flagged on the result (``from_cache``) and the cache's hit/miss
+    counters ride along on every result.
 
     ``cache`` passes an explicit :class:`~repro.smt.cache.ValidityCache`
     handle for this query; by default the current process default
-    (:func:`repro.smt.cache.get_default`) is consulted — which
-    :func:`repro.api.open_cache` scopes without any global singleton in
-    the public path.
+    (:func:`repro.smt.cache.get_default`) is consulted.
     """
     scope = scope or Scope()
     scope = scope.widen(tuple(int_constants(formula)))
 
     cache = cache if cache is not None else validity_cache.get_default()
     key = None
-    pkey = None
     if use_cache:
         key = validity_cache.make_key(formula, scope, sorts, exhaustive, use_sat)
         if key is not None:
@@ -203,25 +196,6 @@ def check_validity(
                     cache_hits=cache.hits,
                     cache_misses=cache.misses,
                 )
-            if cache.persistence_enabled:
-                pkey = validity_cache.persistent_key(
-                    formula, scope, sorts, exhaustive, use_sat
-                )
-                if pkey is not None:
-                    persisted = cache.get_persistent(pkey)
-                    if persisted is not None:
-                        # Promote into the in-memory layer so later
-                        # lookups are O(1) identity-keyed hits.
-                        cache.put(key, persisted)
-                        return replace(
-                            persisted,
-                            model=dict(persisted.model)
-                            if persisted.model is not None
-                            else None,
-                            from_cache=True,
-                            cache_hits=cache.hits,
-                            cache_misses=cache.misses,
-                        )
 
     result = _check_validity(formula, scope, sorts, exhaustive, use_sat, session)
     if key is not None and result.verdict is not Verdict.UNKNOWN:
@@ -233,7 +207,6 @@ def check_validity(
                 result,
                 model=dict(result.model) if result.model is not None else None,
             ),
-            persistent_key=pkey,
         )
     return replace(
         result,

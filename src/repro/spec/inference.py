@@ -116,17 +116,7 @@ def _with_projections(
     return replace(spec, actions=new_actions)
 
 
-def _projection_candidate_task(
-    payload: Tuple[ResourceSpecification, Mapping[str, Tuple[Projection, ...]]],
-) -> ValidityReport:
-    """Module-level task wrapper so process-pool workers can import it."""
-    spec, assignment = payload
-    return check_validity(_with_projections(spec, assignment))
-
-
-def infer_preconditions(
-    spec: ResourceSpecification, jobs: int = 1
-) -> PreconditionInference:
+def infer_preconditions(spec: ResourceSpecification) -> PreconditionInference:
     """Find weakest low-projection preconditions that validate ``spec``.
 
     Keeps each action's ``unary_requires`` (a per-execution constraint
@@ -134,12 +124,6 @@ def infer_preconditions(
     low.  Candidates are explored from weakest (nothing low) to strongest
     (everything low); the first valid assignment in that order is
     returned, preferring fewer and smaller atoms.
-
-    With ``jobs > 1`` candidates are judged in parallel batches over a
-    process pool (:func:`repro.parallel.first_in_order`); the returned
-    assignment is identical to the sequential search (the first valid
-    candidate in ranked order) — only ``candidates_tried`` may overshoot
-    by up to one batch, since a batch is judged as a unit.
     """
     per_action: dict[str, Tuple[Tuple[Projection, ...], ...]] = {}
     for action in spec.actions:
@@ -154,22 +138,17 @@ def infer_preconditions(
     # Sort candidate tuples by total strength so the weakest valid
     # assignment is found first.
     ranked = sorted(assignments, key=lambda combo: sum(len(subset) for subset in combo))
-    payloads = [(spec, dict(zip(action_names, combo))) for combo in ranked]
-    from ..parallel import first_in_order
-
-    index, report, tried = first_in_order(
-        _projection_candidate_task,
-        payloads,
-        accept=lambda candidate_report: candidate_report.valid,
-        jobs=jobs,
-    )
-    if index is not None:
-        assignment = payloads[index][1]
-        inferred = tuple(
-            InferredPrecondition(name, tuple(atom_name for atom_name, _ in assignment[name]))
-            for name in action_names
-        )
-        return PreconditionInference(spec.name, True, inferred, tried, report)
+    tried = 0
+    for combo in ranked:
+        tried += 1
+        assignment = dict(zip(action_names, combo))
+        report = check_validity(_with_projections(spec, assignment))
+        if report.valid:
+            inferred = tuple(
+                InferredPrecondition(name, tuple(atom_name for atom_name, _ in assignment[name]))
+                for name in action_names
+            )
+            return PreconditionInference(spec.name, True, inferred, tried, report)
     return PreconditionInference(spec.name, False, (), tried, None)
 
 
@@ -253,45 +232,25 @@ class AbstractionInference:
         return tuple(candidate.name for candidate in self.valid)
 
 
-def _abstraction_candidate_task(
-    payload: Tuple[ResourceSpecification, Callable[[Any], Any]],
-) -> ValidityReport:
-    """Module-level task wrapper so process-pool workers can import it."""
-    spec, function = payload
-    return check_validity(replace(spec, abstraction=function))
-
-
 def infer_abstraction(
     spec: ResourceSpecification,
     candidates: Sequence[CandidateAbstraction] = STANDARD_ABSTRACTIONS,
-    jobs: int = 1,
 ) -> AbstractionInference:
     """Which catalogue abstractions make ``spec``'s actions valid?
 
     Returns the applicable, valid candidates ordered finest first (by
     :func:`precision` on the value domain); invalid-but-applicable
     candidates are reported too (they witness why a coarser view is
-    needed — e.g. identity fails for same-key map puts, Fig. 3).
-
-    The candidate judgments are independent, so with ``jobs > 1`` they
-    fan out over a process pool (falling back to in-process checking
-    when a candidate's callables cannot be pickled)."""
+    needed — e.g. identity fails for same-key map puts, Fig. 3)."""
     applicable = [
         candidate
         for candidate in candidates
         if _applicable(candidate, spec.value_domain)
     ]
-    from ..parallel import parallel_map
-
-    reports = parallel_map(
-        _abstraction_candidate_task,
-        [(spec, candidate.function) for candidate in applicable],
-        jobs=jobs,
-    )
     valid: list[CandidateAbstraction] = []
     invalid: list[CandidateAbstraction] = []
-    for candidate, report in zip(applicable, reports):
-        if report.valid:
+    for candidate in applicable:
+        if check_validity(replace(spec, abstraction=candidate.function)).valid:
             valid.append(candidate)
         else:
             invalid.append(candidate)

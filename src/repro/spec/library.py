@@ -52,53 +52,6 @@ from .resource import ResourceSpecification
 _SMALL_INTS: Tuple[int, ...] = (-2, -1, 0, 1, 2, 3)
 
 
-def _increment_apply(value: int, _arg: Any) -> int:
-    return value + 1
-
-
-def _add_apply(value: int, amount: int) -> int:
-    return value + amount
-
-
-def _identity_abstraction(value: Any) -> Any:
-    return value
-
-
-def picklable_counter_spec() -> ResourceSpecification:
-    """``counter_increment_spec`` built from module-level callables.
-
-    Everything in this specification pickles, so the process-pool
-    discharge path (:mod:`repro.parallel`) can ship it to workers —
-    lambda-based catalogue specs fall back to sequential checking.
-    Used by the parallel-discharge tests and benchmarks.
-    """
-    increment = Action.shared("Inc", _increment_apply)
-    return ResourceSpecification(
-        name="PicklableCounterInc",
-        abstraction=_identity_abstraction,
-        actions=(increment,),
-        initial_value=0,
-        value_domain=_SMALL_INTS,
-        arg_domains={"Inc": (0,)},
-        description="shared counter, increment by one; picklable callables",
-    )
-
-
-def picklable_integer_add_spec() -> ResourceSpecification:
-    """``integer_add_spec`` built from module-level callables (see
-    :func:`picklable_counter_spec`)."""
-    add = Action.shared("Add", _add_apply, low_projections=low_everything())
-    return ResourceSpecification(
-        name="PicklableIntegerAdd",
-        abstraction=_identity_abstraction,
-        actions=(add,),
-        initial_value=0,
-        value_domain=_SMALL_INTS,
-        arg_domains={"Add": _SMALL_INTS},
-        description="shared integer, n += low amount; picklable callables",
-    )
-
-
 def counter_increment_spec() -> ResourceSpecification:
     """Counter with an argument-less increment (Count-Vaccinated)."""
     increment = Action.shared("Inc", lambda value, _arg: value + 1)

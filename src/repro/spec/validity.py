@@ -35,8 +35,8 @@ from .resource import ResourceSpecification
 
 #: Identity-keyed memo of Def. 3.1 reports.  The enumeration is pure in
 #: the (frozen) specification, so a spec that stays alive — every
-#: catalogue entry, every pooled daemon tenant — pays for its validity
-#: check once per process instead of once per request.  Entries hold a
+#: catalogue entry, in the CLI sweep or a daemon worker — pays for its
+#: validity check once per process instead of once per request.  Entries hold a
 #: weakref so a collected spec frees its report (and a recycled ``id``
 #: can never alias: the stored ref is checked against the live object).
 _REPORT_MEMO: dict = register_cache({})
@@ -240,29 +240,12 @@ def check_validity(
     return report
 
 
-def _spec_report_task(spec: ResourceSpecification) -> ValidityReport:
-    """Module-level task wrapper so process-pool workers can import it."""
-    return check_validity(spec)
-
-
 def check_validity_batch(
     specs: Iterable[ResourceSpecification],
-    jobs: int = 1,
 ) -> list[ValidityReport]:
-    """Def. 3.1 reports for several *independent* specifications.
-
-    With ``jobs > 1`` the checks fan out over a process pool
-    (:func:`repro.parallel.parallel_map`); specifications whose callables
-    cannot be pickled (lambda abstractions and action bodies) silently
-    fall back to in-process sequential checking, so the reports are
-    identical either way.  Order follows the input order.
-    """
-    specs = list(specs)
-    if jobs <= 1 or len(specs) <= 1:
-        return [check_validity(spec) for spec in specs]
-    from ..parallel import parallel_map
-
-    return parallel_map(_spec_report_task, specs, jobs=jobs)
+    """Def. 3.1 reports for several independent specifications, in
+    input order."""
+    return [check_validity(spec) for spec in specs]
 
 
 def fuzz_validity(

@@ -39,33 +39,6 @@ from .declarations import ProgramSpec
 
 InstanceGenerator = Callable[[], Sequence[Sequence[dict]]]
 
-#: One shared solver session per *worker process* for parallel
-#: conformance discharge: obligations shipped to the same worker reuse
-#: each other's learned clauses and Tseitin definitions, and the worker's
-#: validity-cache delta flows back to the parent via repro.parallel.
-_WORKER_SESSION: Optional[SolverSession] = None
-
-
-def _discharge_one(decl, atomic, session) -> tuple:
-    """Discharge one conformance VC; VCErrors become data (they must
-    survive a process-pool hop)."""
-    from .vcgen import VCError, discharge_conformance
-
-    try:
-        return ("ok", discharge_conformance(decl, atomic, session=session))
-    except VCError as error:
-        return ("vcerror", str(error))
-
-
-def _conformance_task(payload: tuple) -> tuple:
-    """Pool task: discharge one (decl, atomic) pair on the worker's
-    shared session."""
-    global _WORKER_SESSION
-    if _WORKER_SESSION is None:
-        _WORKER_SESSION = SolverSession()
-    decl, atomic = payload
-    return _discharge_one(decl, atomic, _WORKER_SESSION)
-
 
 @dataclass
 class VerificationResult:
@@ -96,7 +69,6 @@ class VerificationResult:
 def verify(
     program_spec: ProgramSpec,
     bounded_instances: Optional[InstanceGenerator] = None,
-    jobs: int = 1,
     session: Optional[SolverSession] = None,
     static_prepass: bool = True,
 ) -> VerificationResult:
@@ -108,17 +80,11 @@ def verify(
     bodies, blocking guards, foreign heap cells) fall back to semantic
     sampling.
 
-    ``jobs > 1`` fans the independent obligations — per-resource Def. 3.1
-    validity in stage 1, per-block conformance VCs in stage 3 — out over
-    a process pool, merging each worker's validity-cache delta back into
-    the parent store (sequential fallback when the spec's callables do
-    not pickle; verdicts are identical either way).  The run's
-    conformance VCs are discharged on one shared incremental
+    The run's conformance VCs are discharged on one shared incremental
     :class:`~repro.smt.session.SolverSession`: its own, built for this
-    run, unless ``session`` passes a *caller-owned* warm session that is
-    reused across verify() calls — how the verification daemon
-    (:mod:`repro.server`) carries learned clauses and Tseitin
-    definitions from one batch to the next.
+    run, unless ``session`` passes a caller-owned one (a batch of
+    requests, or a fuzz campaign, shares one this way).  The verdict
+    does not depend on what that session solved before.
 
     Stage 4 discharges retroactive obligations on ``bounded_instances``
     with :func:`~repro.security.noninterference.check_noninterference`:
@@ -136,12 +102,9 @@ def verify(
     """
     errors: list[str] = []
 
-    # Stage 1: specification validity (Def. 3.1) — one independent
-    # obligation per resource, fanned out when jobs > 1.
+    # Stage 1: specification validity (Def. 3.1), one report per resource.
     validity_reports: dict[str, ValidityReport] = {}
-    reports = check_validity_batch(
-        (decl.spec for decl in program_spec.resources), jobs=jobs
-    )
+    reports = check_validity_batch(decl.spec for decl in program_spec.resources)
     for decl, report in zip(program_spec.resources, reports):
         validity_reports[decl.name] = report
         if not report.valid:
@@ -180,50 +143,24 @@ def verify(
 
     # Stage 3: action conformance of every annotated atomic block —
     # symbolically where possible, by semantic sampling otherwise.  The
-    # symbolic discharges are independent VCs: they run up front, either
-    # over the process pool (jobs > 1) or on one shared solver session.
+    # symbolic discharges share one solver session.
     from ..smt.solver import Verdict
+    from .vcgen import VCError, discharge_conformance
 
-    eligible = [atomic for atomic in analysis.atomic_blocks if atomic.when is None]
-    symbolic_outcomes: dict[int, tuple] = {}
-    if eligible:
-        payloads = [
-            (program_spec.resource_by_action(atomic.action), atomic)
-            for atomic in eligible
-        ]
-        run_session = session if session is not None else SolverSession()
-
-        def _discharge_in_process(payload):
-            decl, atomic = payload
-            return _discharge_one(decl, atomic, run_session)
-
-        if jobs > 1 and len(payloads) > 1:
-            from ..parallel import parallel_map
-
-            # The pool task keeps one session per *worker process*; when
-            # the pool cannot engage (unpicklable spec callables, broken
-            # pool), the fallback stays on this run's own session so
-            # nothing leaks across verify() calls.
-            outcomes = parallel_map(
-                _conformance_task,
-                payloads,
-                jobs=jobs,
-                fallback_fn=_discharge_in_process,
-            )
-        else:
-            outcomes = [_discharge_in_process(payload) for payload in payloads]
-        symbolic_outcomes = {
-            id(atomic): outcome for atomic, outcome in zip(eligible, outcomes)
-        }
-
+    run_session = session if session is not None else SolverSession()
     conformance_reports: list[ConformanceReport] = []
     symbolic_conformance: list[tuple[str, str]] = []
     for atomic in analysis.atomic_blocks:
         decl = program_spec.resource_by_action(atomic.action)
-        # A blocking guard (no outcome), a VCError (outside the symbolic
-        # fragment) or an unknown verdict: the block is sampled below.
-        kind, symbolic_result = symbolic_outcomes.get(id(atomic), ("skipped", None))
-        if kind == "ok" and symbolic_result.verdict != Verdict.UNKNOWN:
+        # A blocking guard, a VCError (outside the symbolic fragment) or
+        # an unknown verdict: the block is sampled below.
+        symbolic_result = None
+        if atomic.when is None:
+            try:
+                symbolic_result = discharge_conformance(decl, atomic, session=run_session)
+            except VCError:
+                pass
+        if symbolic_result is not None and symbolic_result.verdict != Verdict.UNKNOWN:
             symbolic_conformance.append((atomic.action, symbolic_result.verdict.value))
             if symbolic_result.verdict == Verdict.REFUTED:
                 errors.append(

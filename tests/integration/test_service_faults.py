@@ -3,14 +3,12 @@
 The daemon is booted with ``fault_injection=True``, which honours a
 test-only ``_fault`` hook riding next to a batch request::
 
-    {"case": "Figure 3", "_fault": {"kind": "sleep" | "crash" | "oom"
-                                           | "corrupt_cache", ...}}
+    {"case": "Figure 3", "_fault": {"kind": "sleep" | "crash" | "oom", ...}}
 
 The supervisor strips the hook before parsing the request and forwards
 it to the worker, which applies it *before* solving — so tests can
-deterministically blow the wall-clock budget (``sleep``), kill a worker
-mid-request (``crash``/``oom``) and tear the on-disk cache shard
-(``corrupt_cache``).  The assertions here are the service's robustness
+deterministically blow the wall-clock budget (``sleep``) and kill a
+worker mid-request (``crash``/``oom``).  The assertions here are the service's robustness
 contract: the daemon stays serviceable through every fault, the
 ``stats`` counters (``timeouts``, ``worker_crashes``, ``retries``,
 ``load_shed``) advance correctly, other tenants' in-flight work is
@@ -18,7 +16,6 @@ unaffected, and afterwards all 28 corpus verdicts still match fresh
 in-process runs.
 """
 
-import json
 import os
 import shutil
 import tempfile
@@ -83,14 +80,13 @@ def chaos_daemon():
     socket_path = os.path.join(tmp, "chaos.sock")
     server = VerificationServer(
         socket_path=socket_path,
-        cache_dir=os.path.join(tmp, "cache"),
         workers=2,
         timeout=1.5,
         queue_deadline=0.4,
         fault_injection=True,
     )
     thread = start_daemon(server)
-    yield server, socket_path, tmp
+    yield server, socket_path
     stop_daemon(socket_path, thread)
     shutil.rmtree(tmp, ignore_errors=True)
 
@@ -106,7 +102,7 @@ def test_sleep_fault_times_out_without_hurting_the_bystander(chaos_daemon):
     abandoning other tenants' in-flight work.  Now only the offending
     worker process is killed: a bystander tenant solving concurrently on
     its own worker finishes normally, on the same worker PID."""
-    server, socket_path, _tmp = chaos_daemon
+    server, socket_path = chaos_daemon
     bystander_outcome = {}
 
     def bystander():
@@ -149,7 +145,7 @@ def test_crash_fault_is_retried_transparently(chaos_daemon, kind):
     """A worker SIGKILLed mid-request (segfault-grade, or OOM-killed) is
     detected, counted, and the request transparently replayed once on a
     fresh worker — the client sees a normal verdict with attempts=2."""
-    server, socket_path, _tmp = chaos_daemon
+    server, socket_path = chaos_daemon
     with ServiceClient(socket_path=socket_path) as client:
         events = faulty_batch(
             client,
@@ -177,7 +173,7 @@ def test_sticky_crash_gives_up_with_a_structured_event(chaos_daemon):
     """When the replay *also* crashes (sticky fault), the daemon answers
     a structured ``worker_crash`` event after exactly one retry instead
     of looping or hanging, and keeps serving."""
-    _server, socket_path, _tmp = chaos_daemon
+    _server, socket_path = chaos_daemon
     with ServiceClient(socket_path=socket_path) as client:
         events = faulty_batch(
             client,
@@ -196,31 +192,6 @@ def test_sticky_crash_gives_up_with_a_structured_event(chaos_daemon):
         stats = client.stats()
         assert stats["worker_crashes"] == 2
         assert stats["retries"] == 1
-        assert client.ping()
-
-
-def test_corrupt_cache_shard_is_cold_but_correct(chaos_daemon):
-    """A shard torn mid-write (the pre-atomic failure mode) must never
-    raise: the daemon keeps answering correct verdicts, and the next
-    save atomically replaces the garbage with a well-formed store."""
-    _server, socket_path, tmp = chaos_daemon
-    cache_path = os.path.join(tmp, "cache", api.CACHE_FILENAME)
-    with ServiceClient(socket_path=socket_path) as client:
-        warmup = client.run_batch(requests_for_cases(["Figure 3"]), tenant="torn")
-        assert warmup.complete and os.path.exists(cache_path)
-        events = faulty_batch(
-            client,
-            "torn",
-            [{"case": "Figure 1", "_fault": {"kind": "corrupt_cache"}}],
-        )
-        verdicts = events_of(events, "verdict")
-        assert len(verdicts) == 1
-        assert api.Verdict.from_wire(verdicts[0]["verdict"]).ok
-        # the post-batch save read the torn shard (log-and-skip) and
-        # atomically rewrote a well-formed one
-        with open(cache_path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        assert isinstance(data.get("entries"), dict) and data["entries"]
         assert client.ping()
 
 
@@ -322,7 +293,7 @@ def test_corpus_matches_fresh_runs_after_faults(chaos_daemon):
     """Drive every fault kind through the daemon, then verify the whole
     28-case corpus over the socket and pin it verdict-for-verdict to
     fresh in-process runs — chaos must never bend a verdict."""
-    _server, socket_path, _tmp = chaos_daemon
+    _server, socket_path = chaos_daemon
     with ServiceClient(socket_path=socket_path) as client:
         faulty_batch(
             client,
@@ -330,7 +301,7 @@ def test_corpus_matches_fresh_runs_after_faults(chaos_daemon):
             [
                 {"case": "Figure 3", "_fault": {"kind": "crash"}},
                 {"case": "Figure 1", "_fault": {"kind": "oom"}},
-                {"case": "Most-Valuable-Purchase", "_fault": {"kind": "corrupt_cache"}},
+                {"case": "Most-Valuable-Purchase"},
                 {"case": "Figure 1 (leaky)", "_fault": {"kind": "sleep"}},
             ],
         )

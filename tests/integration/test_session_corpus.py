@@ -1,9 +1,9 @@
-"""The full case-study corpus, discharged on a fresh per-run session and
-on warm shared solver sessions (plus a persistent-cache round trip),
-must agree verdict-for-verdict — the integration leg of the session
-differential harness.  Every solver-side leg runs under a fresh
-validity cache, so the session really solves instead of replaying
-cached answers."""
+"""The full case-study corpus and the first cases of the fixed-seed fuzz
+campaign, discharged on a fresh per-run session and on warm shared
+solver sessions in shuffled orders, must agree verdict-for-verdict —
+the integration leg of the session differential harness.  Every
+solver-side leg runs under a fresh validity cache, so the session
+really solves instead of replaying cached answers."""
 
 import random
 
@@ -11,9 +11,15 @@ import pytest
 
 from repro import api
 from repro.casestudies import ALL_CASES
+from repro.fuzz.gen import generate_case
 from repro.smt import clear_all_caches
-from repro.smt.cache import ValidityCache, get_default, using_cache
+from repro.smt.cache import ValidityCache, using_cache
 from repro.smt.session import SolverSession
+from repro.verifier.frontend import verify
+
+#: The fuzz campaign seed CI runs, and how many of its cases to replay.
+FUZZ_SEED = 20240808
+FUZZ_CASES = 12
 
 
 def _observe(result):
@@ -72,8 +78,8 @@ def test_verdicts_are_independent_of_session_history(seed, fresh_verdicts):
 
 
 def test_verdicts_survive_a_session_respawn(fresh_verdicts):
-    """Replacing the warm session halfway through the corpus (what a
-    daemon worker respawn does) changes no verdict."""
+    """Replacing the warm session halfway through the corpus changes no
+    verdict."""
     cases = list(ALL_CASES)
     random.Random(3).shuffle(cases)
     half = len(cases) // 2
@@ -84,30 +90,40 @@ def test_verdicts_survive_a_session_respawn(fresh_verdicts):
         assert session.stats()["queries"] > 0
 
 
-def test_corpus_survives_cache_round_trip(tmp_path):
-    """Run the corpus once with persistence on, reload the saved store
-    cold, re-run: verdicts unchanged and the persistent layer serves a
-    non-zero number of hits (the warm-CI contract)."""
-    path = tmp_path / "validity_cache.json"
-    cache = get_default()
-    try:
-        cache.forget_persistent()
-        clear_all_caches()
-        cache.enable_persistence()
-        first = [_observe(case.verify()) for case in ALL_CASES]
-        saved = cache.save(path)
-        assert saved > 0
+def _fuzz_observe(case, session=None):
+    """A fuzz case's observable verdict and symbolic conformance, under a
+    fresh validity cache, on its own per-run session or on ``session``."""
+    with using_cache(ValidityCache()):
+        result = verify(
+            case.program_spec(), bounded_instances=case.instances, session=session
+        )
+    verdict = api.verdict_from_result(result).observable()
+    return verdict, tuple(sorted(result.symbolic_conformance))
 
-        cache.forget_persistent()
-        clear_all_caches()
-        loaded = cache.load(path)
-        assert loaded == saved
-        second = [_observe(case.verify()) for case in ALL_CASES]
-        assert first == second
-        assert cache.stats()["persistent_hits"] > 0
-    finally:
-        cache.forget_persistent()
-        clear_all_caches()
+
+@pytest.fixture(scope="module")
+def fuzz_cases():
+    return [generate_case(FUZZ_SEED, index) for index in range(FUZZ_CASES)]
+
+
+@pytest.fixture(scope="module")
+def fresh_fuzz_verdicts(fuzz_cases):
+    return {case.name: _fuzz_observe(case) for case in fuzz_cases}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fuzz_verdicts_are_independent_of_session_history(
+    seed, fuzz_cases, fresh_fuzz_verdicts
+):
+    """The generated programs leave the catalogue's shapes; replaying them
+    in a shuffled order on one shared session must still give each its
+    fresh verdict and the same symbolic conformance results."""
+    cases = list(fuzz_cases)
+    random.Random(seed).shuffle(cases)
+    session = SolverSession()
+    for case in cases:
+        assert _fuzz_observe(case, session) == fresh_fuzz_verdicts[case.name], case.name
+    assert session.stats()["queries"] > 0
 
 
 @pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.name)
@@ -125,12 +141,3 @@ def test_api_facade_verdicts_match_fresh_verify(case):
     assert routed.ok == fresh.ok
     # and the wire encoding is lossless on the observable surface
     assert api.Verdict.from_wire(routed.to_wire()).observable() == routed.observable()
-
-
-def test_parallel_discharge_matches_sequential():
-    """jobs > 1 (process pool where the spec pickles, graceful sequential
-    fallback otherwise) must not change any verdict."""
-    for case in ALL_CASES[:6]:
-        sequential = case.verify(jobs=1)
-        parallel = case.verify(jobs=2)
-        assert _observe(sequential) == _observe(parallel)

@@ -1,33 +1,31 @@
-"""Differential harness for incremental solver sessions (PR 4 tentpole).
+"""Differential harness for incremental solver sessions.
 
-Hypothesis-generated VC batches are discharged three ways —
+VC batches are discharged three ways —
 
 1. **fresh** — a transient session per VC (what ``check_validity``
    does when no session is passed),
-2. **session** — one shared :class:`repro.smt.session.SolverSession`,
+2. **warm** — one shared :class:`repro.smt.session.SolverSession`,
    where each VC is activated by an assumption literal and retired after
    its query,
-3. **round-trip** — a session run whose decisive results were saved to a
-   persistent store, the store reloaded into a cold cache, and the batch
-   replayed (every answer must come from the persistent layer),
+3. **shuffled** — the same batch in another order on another shared
+   session,
 
-and the three verdict sequences (verdict + countermodel) must be
-identical.  This pins the session layer's soundness contract: assumption
-activation, clause retirement, shared Tseitin state and the
-fingerprint-keyed persistence must never change what the solver says,
-only how fast it says it.
+and the verdict sequences (verdict + countermodel) must be identical.
+The batches are Hypothesis-generated across every solver regime, plus
+fixed-seed batches from the mixed equality/difference-logic fragment,
+where a warm session has the most shared state to carry.  This pins the
+session layer's soundness contract: assumption activation, clause
+retirement and shared Tseitin state must never change what the solver
+says, only how fast it says it.
 """
 
-import os
-import tempfile
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.smt import clear_all_caches
-from repro.smt.cache import get_default
 from repro.smt.session import SolverSession, in_euf_fragment, in_mixed_fragment
-from repro.smt.solver import Verdict, check_validity
+from repro.smt.solver import check_validity
 from repro.smt.sorts import BOOL, INT
 from repro.smt.terms import App, Const, SymVar
 
@@ -90,50 +88,72 @@ def _solve_session(batch):
     ]
 
 
-def _solve_after_round_trip(batch):
-    """Populate a persistent store from a session run, reload it cold,
-    and replay the batch; answers must come from the store."""
-    handle, path = tempfile.mkstemp(suffix=".json")
-    os.close(handle)
-    cache = get_default()
-    try:
-        cache.forget_persistent()
-        clear_all_caches()
-        cache.enable_persistence()
-        session = SolverSession()
-        first = [
-            _observe(check_validity(formula, session=session)) for formula in batch
-        ]
-        cache.save(path)
+def _solve_shuffled(batch, seed):
+    """The batch in a seeded shuffled order on one shared session,
+    answers reported in the original order."""
+    order = list(range(len(batch)))
+    random.Random(seed).shuffle(order)
+    session = SolverSession()
+    answers = {}
+    for index in order:
+        answers[index] = _observe(
+            check_validity(batch[index], use_cache=False, session=session)
+        )
+    return [answers[index] for index in range(len(batch))]
 
-        cache.forget_persistent()
-        clear_all_caches()
-        cache.load(path)
-        replay_session = SolverSession()
-        replayed = []
-        for formula, observed_first in zip(batch, first):
-            result = check_validity(formula, session=replay_session)
-            # Decisive verdicts must be served by the reloaded store
-            # (UNKNOWN is never persisted and is recomputed instead).
-            if result.verdict is not Verdict.UNKNOWN:
-                assert result.from_cache, (formula, result)
-            replayed.append(_observe(result))
-        return replayed
-    finally:
-        cache.forget_persistent()
-        clear_all_caches()
-        os.unlink(path)
+
+#: How many fixed-seed mixed-fragment batches to replay.
+MIXED_BATCHES = 300
+
+#: Offsets ``k`` of the ``x <= y + k`` atoms in the mixed batches.
+MIXED_OFFSETS = (-2, -1, 0, 1, 2)
+
+
+def _mixed_atom(rng):
+    left, right = rng.choice(INT_VARS), rng.choice(INT_VARS)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return App("==", (left, right))
+    if kind == 1:
+        return App("!=", (left, right))
+    if kind == 2:
+        return App("<", (left, right))
+    return App("<=", (left, App("+", (right, Const(rng.choice(MIXED_OFFSETS))))))
+
+
+def _mixed_formula(rng, depth):
+    if depth == 0:
+        return _mixed_atom(rng)
+    op = rng.choice(("and", "or", "not", "implies"))
+    if op == "not":
+        return App("not", (_mixed_formula(rng, depth - 1),))
+    return App(op, (_mixed_formula(rng, depth - 1), _mixed_formula(rng, depth - 1)))
+
+
+def mixed_batch(seed, size=6):
+    """A fixed-seed batch of mixed-fragment formulas of depth 2-3."""
+    rng = random.Random(seed)
+    return [_mixed_formula(rng, rng.choice((2, 3))) for _ in range(size)]
 
 
 class TestSessionDifferential:
     @given(st.lists(vc_formulas(), min_size=1, max_size=5))
     @settings(max_examples=60, deadline=None)
-    def test_fresh_session_and_round_trip_verdicts_identical(self, batch):
+    def test_fresh_warm_and_shuffled_verdicts_identical(self, batch):
         fresh = _solve_fresh(batch)
-        shared = _solve_session(batch)
-        assert fresh == shared
-        round_trip = _solve_after_round_trip(batch)
-        assert fresh == round_trip
+        assert fresh == _solve_session(batch)
+        assert fresh == _solve_shuffled(batch, seed=len(batch))
+
+    def test_mixed_fragment_batches_fresh_warm_and_shuffled_identical(self):
+        """Fixed-seed batches over ``==``, ``!=``, ``<`` and ``x <= y + k``:
+        the fragment the solver's own docstring singles out as the one
+        where warm state could decide more than a fresh session."""
+        for seed in range(MIXED_BATCHES):
+            batch = mixed_batch(seed)
+            assert all(in_mixed_fragment(formula) for formula in batch), seed
+            fresh = _solve_fresh(batch)
+            assert _solve_session(batch) == fresh, seed
+            assert _solve_shuffled(batch, seed) == fresh, seed
 
     @given(st.lists(vc_formulas(), min_size=2, max_size=6))
     @settings(max_examples=40, deadline=None)

@@ -1,11 +1,13 @@
 """Unit tests for the ``repro.api`` facade: wire round-trips, request
-validation, admission-control estimation, explicit cache handles, and
-the removal of the ``GLOBAL`` cache singleton."""
+validation, fork/join program requests, admission-control estimation,
+and the names retired from the API (the ``GLOBAL`` cache singleton, the
+session pool and the persistent cache)."""
 
 import pytest
 
 from repro import api
-from repro.smt.cache import get_default
+from repro.casestudies import THREADED_CASES, case_by_name
+from repro.smt.cache import ValidityCache
 from repro.smt.sorts import BOOL, INT
 from repro.smt.terms import App, Const, SymVar
 
@@ -118,6 +120,47 @@ def test_unparsable_program_is_a_request_error():
         request.build_program_spec()
 
 
+def _program_request(case, source=None):
+    """A raw-program request carrying a catalogue case's source, resources
+    and inputs (each resource's spec is named by its declaration)."""
+    return api.VerificationRequest(
+        program=case.source if source is None else source,
+        name=case.name,
+        resources=tuple(
+            api.ResourceRequest(
+                name=decl.name,
+                spec=decl.name,
+                location_var=decl.location_var,
+                low_views=tuple(decl.low_views),
+            )
+            for decl in case.resources
+        ),
+        low_inputs=case.low_inputs,
+        high_inputs=case.high_inputs,
+        instances=tuple(({}, tuple(group)) for group in case.instances()),
+    )
+
+
+@pytest.mark.parametrize("case", THREADED_CASES, ids=lambda case: case.name)
+def test_fork_join_program_request_builds_the_case_program(case):
+    spec, _instances = _program_request(case).build_program_spec()
+    assert spec.program == case.program()
+
+
+@pytest.mark.parametrize("case", THREADED_CASES, ids=lambda case: case.name)
+def test_fork_join_program_request_gets_the_case_verdict(case):
+    verdict = api.execute(_program_request(case))
+    assert verdict.verified == case.expected_verified
+
+
+def test_unjoined_fork_program_request_is_a_request_error():
+    case = case_by_name("Figure 3 (fork/join)")
+    source = case.source.replace("join worker(t2)\n", "")
+    assert source != case.source
+    with pytest.raises(api.RequestError, match="never joined"):
+        _program_request(case, source).build_program_spec()
+
+
 # ---------------------------------------------------------------------------
 # Admission control estimation
 # ---------------------------------------------------------------------------
@@ -197,7 +240,7 @@ def test_batch_report_round_trip():
     report = api.BatchReport(
         verdicts=(api.Verdict(name="x", verified=True),),
         elapsed=0.5,
-        stats={"pool": {"reused": 3}},
+        stats={"cache": {"hits": 3}},
     )
     rebuilt = api.BatchReport.from_wire(report.to_wire())
     assert rebuilt == report
@@ -240,15 +283,14 @@ def test_execute_case_matches_direct_verify():
     assert verdict.ok
 
 
-def test_verify_batch_shares_a_session(tmp_path):
+def test_verify_batch_shares_a_session():
     requests = [
         api.VerificationRequest(case="Figure 3"),
         api.VerificationRequest(case="Figure 3"),
     ]
     # A fresh cache: a warm process default would answer every VC and
     # leave the session idle.
-    with api.open_cache(tmp_path):
-        report = api.verify_batch(requests)
+    report = api.verify_batch(requests, cache=ValidityCache())
     assert report.ok
     assert len(report.verdicts) == 2
     assert report.stats["session"]["queries"] > 0
@@ -256,45 +298,8 @@ def test_verify_batch_shares_a_session(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Explicit cache handles / GLOBAL retirement
+# Retired names
 # ---------------------------------------------------------------------------
-
-
-def test_open_cache_installs_and_restores_default(tmp_path):
-    before = get_default()
-    with api.open_cache(tmp_path) as handle:
-        assert get_default() is handle.cache
-        assert handle.path == tmp_path / api.CACHE_FILENAME
-    assert get_default() is before
-    assert handle.path.exists()  # saved on exit (even empty)
-
-
-def test_open_cache_persists_between_handles(tmp_path):
-    x = SymVar("x_open_cache_persist", INT)
-    request = api.VerificationRequest(
-        formula=api.term_to_wire(App("==", (x, x))), name="t"
-    )
-    with api.open_cache(tmp_path) as first:
-        assert api.execute(request).verified
-        assert first.stats()["persistent_size"] > 0
-    with api.open_cache(tmp_path) as second:
-        verdict = api.execute(request)
-        assert verdict.verified
-        stats = second.stats()
-        assert stats["persistent_hits"] + stats["hits"] > 0
-
-
-def test_open_cache_namespaces_are_isolated(tmp_path):
-    x = SymVar("x_open_cache_ns", INT)
-    request = api.VerificationRequest(
-        formula=api.term_to_wire(App("==", (x, x))), name="t"
-    )
-    with api.open_cache(tmp_path, namespace="tenant-a"):
-        api.execute(request)
-    with api.open_cache(tmp_path, namespace="tenant-b") as other:
-        api.execute(request)
-        # a fresh namespace cannot see tenant-a's persisted verdicts
-        assert other.stats()["persistent_hits"] == 0
 
 
 @pytest.mark.parametrize(
@@ -303,6 +308,13 @@ def test_open_cache_namespaces_are_isolated(tmp_path):
         ("repro.smt.cache", "GLOBAL"),
         ("repro.smt", "VALIDITY_CACHE"),
         ("repro.smt.session", "SolverSession.euf_valid"),
+        ("repro.smt.session", "SessionPool"),
+        ("repro.smt.session", "merge_pool_stats"),
+        ("repro.smt.cache", "term_fingerprint"),
+        ("repro.smt.cache", "persistent_key"),
+        ("repro.api", "open_cache"),
+        ("repro.api", "CacheHandle"),
+        ("repro.api", "CACHE_FILENAME"),
     ],
 )
 def test_removed_shims_raise_attribute_error(module, name):

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: Every tracked markdown document with internal links worth checking.
@@ -67,7 +69,7 @@ class TestInternalLinks:
 
     def test_readme_mentions_the_cli_flags(self):
         text = (REPO_ROOT / "README.md").read_text()
-        for needle in ("python -m repro", "--jobs", "--cache-dir"):
+        for needle in ("python -m repro", "--no-static-prepass"):
             assert needle in text
 
 
@@ -82,5 +84,22 @@ class TestCliSmoke:
             timeout=120,
         )
         assert result.returncode == 0, result.stderr
-        for flag in ("--jobs", "--cache-dir"):
-            assert flag in result.stdout
+        assert "--no-static-prepass" in result.stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--jobs", "2"],
+            ["--cache-dir", "store"],
+            ["serve", "--cache-dir", "store"],
+            ["serve", "--max-sessions", "4"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_retired_flags_are_rejected(self, argv, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["repro", *argv])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
