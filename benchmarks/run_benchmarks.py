@@ -39,11 +39,6 @@ workloads and writes ``BENCH_smt.json``:
   fresh-per-VC vs through one shared
   :class:`repro.smt.session.SolverSession` (assumption-activated VCs
   over one clause database, retired after each query);
-* ``static_prepass`` — end-to-end corpus verification with the
-  information-flow fast path (:mod:`repro.analysis`) enabled vs
-  disabled: prepass-secure cases skip VC generation and SMT entirely
-  (solver query counters prove it), everything else falls through to
-  the full pipeline with identical verdict surfaces;
 * ``fuzz_corpus`` — the promoted fuzz families
   (:mod:`repro.casestudies.generated`: session store, rate limiter,
   salary analytics) with the corpus size as the scaling parameter:
@@ -680,62 +675,6 @@ def bench_incremental_vc(quick):
     return cases
 
 
-def bench_static_prepass(quick):
-    """The static pre-verification axis (repro.analysis): end-to-end
-    corpus verification with the information-flow fast path enabled vs
-    disabled.  For prepass-secure cases the fast path skips VC
-    generation and SMT entirely; for everything else it must fall
-    through with no measurable verdict drift.  ``verdicts_agree`` here
-    is the differential contract: identical ``(verified, errors)``
-    surfaces on every case."""
-    from repro import api
-    from repro.casestudies import ALL_CASES
-
-    names = (
-        ("Sequential-Tally", "Figure 2", "Email-Metadata")
-        if quick
-        else tuple(case.name for case in ALL_CASES)
-    )
-
-    cases = []
-    for name in names:
-        clear_all_caches()
-        full_session = SolverSession()
-        full_elapsed, full = timed(
-            api.execute,
-            api.VerificationRequest(case=name, static_prepass=False),
-            session=full_session,
-        )
-        clear_all_caches()
-        fast_session = SolverSession()
-        fast_elapsed, fast = timed(
-            api.execute,
-            api.VerificationRequest(case=name),
-            session=fast_session,
-        )
-        discharged = fast.prepass == "secure"
-        cases.append(
-            {
-                "case": name,
-                "reference_s": round(full_elapsed, 6),
-                "optimized_s": round(fast_elapsed, 6),
-                "speedup": round(full_elapsed / fast_elapsed, 2)
-                if fast_elapsed
-                else None,
-                "verified": fast.verified,
-                "prepass": fast.prepass,
-                "discharged_solver_free": discharged,
-                "smt_queries_full": full_session.stats()["queries"],
-                "smt_queries_fast": fast_session.stats()["queries"],
-                "verdicts_agree": (
-                    (fast.verified, fast.errors) == (full.verified, full.errors)
-                    and (not discharged or fast_session.stats()["queries"] == 0)
-                ),
-            }
-        )
-    return cases
-
-
 def bench_fuzz_corpus(quick):
     """The fuzz-corpus axis (promoted generated families): static
     verification vs empirical noninterference checking with the corpus
@@ -949,28 +888,6 @@ def main(argv=None) -> int:
         )
     print(f"  overall: x{workloads['incremental_vc']['speedup']}")
 
-    print("== static_prepass (information-flow fast path vs full pipeline) ==")
-    cases = bench_static_prepass(args.quick)
-    discharged = sum(case["discharged_solver_free"] for case in cases)
-    workloads["static_prepass"] = {
-        "cases": cases,
-        "discharged_solver_free": discharged,
-        "discharged_fraction": round(discharged / len(cases), 3),
-        **summarize(cases),
-    }
-    for case in cases:
-        print(
-            f"  {case['case']:>28s} "
-            f"full {case['reference_s'] * 1000:8.2f} ms ({case['smt_queries_full']}q)  "
-            f"fast {case['optimized_s'] * 1000:8.2f} ms ({case['smt_queries_fast']}q)  "
-            f"x{case['speedup']:<6}  prepass={case['prepass'] or '-':<8s}"
-            f"agree={case['verdicts_agree']}"
-        )
-    print(
-        f"  overall: x{workloads['static_prepass']['speedup']}  "
-        f"({discharged}/{len(cases)} discharged solver-free)"
-    )
-
     print("== fuzz_corpus (promoted generated families, scaling corpus size) ==")
     cases = bench_fuzz_corpus(args.quick)
     workloads["fuzz_corpus"] = {"cases": cases, **summarize(cases)}
@@ -1005,10 +922,6 @@ def main(argv=None) -> int:
             ),
             "spec_inference_speedup": workloads["spec_inference"]["speedup"],
             "incremental_vc_speedup": workloads["incremental_vc"]["speedup"],
-            "static_prepass_speedup": workloads["static_prepass"]["speedup"],
-            "static_prepass_discharged_solver_free": workloads["static_prepass"][
-                "discharged_solver_free"
-            ],
             "fuzz_corpus_speedup": workloads["fuzz_corpus"]["speedup"],
             "dpllt_models_blocked": sum(
                 case["optimized_blocked"]

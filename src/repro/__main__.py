@@ -44,7 +44,7 @@ SUBCOMMANDS = ("verify", "serve", "client", "bench", "lint", "fuzz")
 # ---------------------------------------------------------------------------
 
 
-def _print_all(static_prepass: bool = True) -> int:
+def _print_all() -> int:
     from .casestudies import ALL_CASES
 
     width = 96
@@ -53,9 +53,7 @@ def _print_all(static_prepass: bool = True) -> int:
     print("=" * width)
     failures = 0
     for case in ALL_CASES:
-        verdict = api.execute(
-            api.VerificationRequest(case=case.name, static_prepass=static_prepass)
-        )
+        verdict = api.execute(api.VerificationRequest(case=case.name))
         expected = "secure" if case.expected_verified else "insecure"
         outcome = "VERIFIED" if verdict.verified else "REJECTED"
         ok = verdict.ok
@@ -75,7 +73,7 @@ def _print_all(static_prepass: bool = True) -> int:
     return 0
 
 
-def _print_one(name: str, static_prepass: bool = True) -> int:
+def _print_one(name: str) -> int:
     from .casestudies import case_by_name
 
     case = case_by_name(name)
@@ -84,12 +82,8 @@ def _print_one(name: str, static_prepass: bool = True) -> int:
     print("\n--- program ---")
     print(case.source.strip())
     print("\n--- verification ---")
-    verdict = api.execute(
-        api.VerificationRequest(case=case.name, static_prepass=static_prepass)
-    )
+    verdict = api.execute(api.VerificationRequest(case=case.name))
     print(f"{verdict.name}: {'VERIFIED' if verdict.verified else 'REJECTED'}")
-    if verdict.prepass == "secure":
-        print("  (discharged by the static information-flow prepass — no SMT)")
     for error in verdict.errors:
         print(f"  error: {error}")
     for obligation in verdict.obligations:
@@ -102,11 +96,10 @@ def _print_one(name: str, static_prepass: bool = True) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    static_prepass = not getattr(args, "no_static_prepass", False)
     try:
         if args.case is not None:
-            return _print_one(args.case, static_prepass)
-        return _print_all(static_prepass)
+            return _print_one(args.case)
+        return _print_all()
     except (KeyError, api.RequestError) as error:
         print(error)
         return 2
@@ -393,13 +386,6 @@ def _build_verify_parser(prog: str) -> argparse.ArgumentParser:
         default=None,
         help="verify one case study by name (default: all, as a table)",
     )
-    parser.add_argument(
-        "--no-static-prepass",
-        action="store_true",
-        help="disable the static pre-verification fast path (always run "
-        "VC generation + SMT discharge; verdicts are unchanged, only "
-        "wall-clock time)",
-    )
     return parser
 
 
@@ -509,7 +495,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             print(
                 f"[{index}] {outcome.case.name} {outcome.case.family}"
                 f"{' +' + outcome.case.mutation if outcome.case.mutation else ''}: "
-                f"verified={outcome.verified} prepass={outcome.prepass} "
+                f"verified={outcome.verified} "
                 f"empirical={outcome.empirical_secure} ({outcome.empirical_mode}) {kind}"
             )
         elif index and index % 50 == 0:
@@ -524,9 +510,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         + (" (budget exhausted)" if report["budget_exhausted"] else "")
     )
     print(
-        f"  verdicts: {counters['verified']} verified, {counters['rejected']} rejected; "
-        f"prepass fast path fired {counters['prepass_secure']}x "
-        f"({counters['differential_runs']} differential reruns)"
+        f"  verdicts: {counters['verified']} verified, {counters['rejected']} rejected"
     )
     print(
         f"  empirical: {counters['exhaustive']} exhaustive, {counters['sampled']} sampled, "
@@ -539,12 +523,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             f"shrunk to {entry.get('shrunk_statements', entry['statements'])} statements"
             + (f", repro at {entry['repro']}" if "repro" in entry else "")
         )
-    for entry in report["prepass_disagreements"]:
-        print(f"  PREPASS DISAGREEMENT: {entry['case']} ({entry['family']})")
     for entry in report["runtime_errors"]:
         print(f"  RUNTIME ERROR: {entry['case']}: {entry['runtime_error']}")
     if report["ok"]:
-        print("  no soundness failures, no prepass disagreements")
+        print("  no soundness failures")
 
     if args.report is not None:
         Path(args.report).parent.mkdir(parents=True, exist_ok=True)
@@ -558,7 +540,7 @@ def _build_fuzz_parser() -> argparse.ArgumentParser:
         prog="python -m repro fuzz",
         description=(
             "Differential soundness fuzzing: generate adversarial concurrent "
-            "programs and compare verifier verdicts (prepass on/off) against "
+            "programs and compare verifier verdicts against "
             "empirical noninterference under the concrete scheduler."
         ),
     )

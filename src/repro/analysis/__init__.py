@@ -1,14 +1,15 @@
-"""Static pre-verification: race detection, flow analysis, and lints.
+"""Static analyses behind ``python -m repro lint``: races, flow, lints.
 
-This package is the cheap, sound tier in front of the verifier's VC
-generator and SMT solver (see ``docs/ARCHITECTURE.md``):
+This package backs the lint command and the daemon's ``lint`` op; it
+never decides a verification verdict (see ``docs/ARCHITECTURE.md``):
 
 * :mod:`repro.analysis.races` — Eraser-style lockset race detection over
   the may-happen-in-parallel structure of ``Par``/``Atomic``;
 * :mod:`repro.analysis.flow` — Denning-style PC-taint flow analysis with
   sound ``secure``/``unknown`` verdicts;
-* :mod:`repro.analysis.prepass` — the combination the frontend and the
-  daemon use as a fast path that skips SMT discharge entirely;
+* :mod:`repro.analysis.prepass` — both analyses combined into one
+  accept-only ``secure``/``unknown`` verdict that no verification path
+  calls;
 * :mod:`repro.analysis.lint` — a pluggable lint framework
   (``python -m repro lint``) emitting structured diagnostics;
 * :mod:`repro.analysis.diagnostics` — the shared diagnostic type with

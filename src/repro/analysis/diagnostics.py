@@ -1,4 +1,4 @@
-"""Structured diagnostics for the static pre-verification layer.
+"""Structured diagnostics for the static analyses and lints.
 
 Every analysis in :mod:`repro.analysis` (lockset race detection, flow
 analysis, lint rules) reports findings as :class:`Diagnostic` values: a

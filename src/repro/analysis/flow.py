@@ -7,11 +7,10 @@ flows (a *program-counter taint* raised inside branches and loops whose
 condition depends on a secret), and returns one of two verdicts:
 
 * ``secure`` — a *sound* claim: every observable output trace is a
-  function of the low inputs alone, for every scheduler.  The verifier
-  fast path may skip VC generation and SMT discharge entirely.
-* ``unknown`` — the analysis cannot decide; the full abstract-
+  function of the low inputs alone, for every scheduler.
+* ``unknown`` — the analysis cannot decide; only the full abstract-
   commutativity pipeline (spec validity, taint + CSL discipline, action
-  conformance, retroactive obligations) must run.
+  conformance, retroactive obligations) can.
 
 Soundness is bought with aggressive bail-outs: whenever a program uses a
 feature whose security argument genuinely needs the paper's machinery

@@ -1,19 +1,21 @@
-"""The combined static pre-verification pass.
+"""The combined static pass: races and flow in one verdict.
 
-``run_prepass`` is what the verifier frontend and the daemon's admission
-path call: it composes the lockset race detector and the flow analysis
+``run_prepass`` composes the lockset race detector and the flow analysis
 into one verdict —
 
 * ``secure`` — the program is race-free under the lockset abstraction
   *and* the flow analysis proves every observable trace a function of
-  the low inputs.  Action-conformance VC generation and SMT discharge
-  can be skipped entirely; the security property is established without
-  the abstract-commutativity argument.
-* ``unknown`` — anything else; the full pipeline must run.
+  the low inputs;
+* ``unknown`` — anything else.
 
 The prepass never claims a program *insecure*: its analyses over-
 approximate, so findings (potential leaks, potential races) only appear
 as diagnostics, and the verdict degrades to ``unknown``.
+
+No verification path calls it: every request runs the full
+pipeline of :func:`repro.verifier.frontend.verify`.  It stays public
+because the end-to-end benchmark's tracer wraps it by name; once that
+tracer drops it, this module can go.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .races import check_races
 
 @dataclass(frozen=True)
 class PrepassReport:
-    """Outcome of the static pre-verification pass."""
+    """Outcome of the combined static pass."""
 
     verdict: str  # 'secure' | 'unknown'
     flow: FlowReport

@@ -23,7 +23,7 @@ available:
 This is a diagnostic analysis: it over-approximates may-happen-in-parallel
 (every pair of opposite ``Par`` branches is considered concurrent) and
 under-approximates aliasing (heap cells are identified by the allocating
-variable).  The *sound* component of the pre-verification fast path is
+variable).  The *sound* one of the static analyses is
 :mod:`repro.analysis.flow`, which independently rejects programs whose
 parallel branches interfere at all.
 """

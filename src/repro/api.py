@@ -40,7 +40,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
-from .analysis.diagnostics import Diagnostic
 from .smt.cache import ValidityCache, using_cache
 from .smt.session import SolverSession
 from .smt.sorts import BOOL, INT, Sort
@@ -272,10 +271,6 @@ class VerificationRequest:
     instances: Optional[InstanceGroups] = None
     sorts: Optional[Tuple[Tuple[str, str], ...]] = None
     exhaustive: bool = False
-    #: Run the static pre-verification fast path (repro.analysis); on by
-    #: default.  The prepass only ever accepts, so this flag trades
-    #: wall-clock time, never verdicts.
-    static_prepass: bool = True
 
     @property
     def kind(self) -> str:
@@ -383,8 +378,6 @@ class VerificationRequest:
             obj["sorts"] = {var: name for var, name in self.sorts}
         if self.exhaustive:
             obj["exhaustive"] = True
-        if not self.static_prepass:
-            obj["static_prepass"] = False
         return obj
 
     @classmethod
@@ -418,7 +411,6 @@ class VerificationRequest:
             instances=instances,
             sorts=sorts,
             exhaustive=bool(obj.get("exhaustive", False)),
-            static_prepass=bool(obj.get("static_prepass", True)),
         )
         request.validate()
         return request
@@ -489,14 +481,9 @@ class Verdict:
     solver_verdict: Optional[str] = None
     model: Optional[dict] = None
     from_cache: bool = False
-    #: ``"secure"`` when the static prepass decided the request (stages
-    #: 3–4 skipped), ``"unknown"`` when it ran undecided, ``None`` when
-    #: off or inapplicable.  Deliberately *not* part of ``observable()``:
-    #: the fast path changes how a verdict is reached, never the verdict.
-    prepass: Optional[str] = None
     #: ``(pid, start, end)``: the daemon worker process that computed the
     #: verdict and when, in epoch seconds (``time.time()``); ``None``
-    #: outside the daemon.  Not part of ``observable()`` either: it says
+    #: outside the daemon.  Not part of ``observable()``: it says
     #: where and when a verdict was computed, never what it is.
     worker: Optional[Tuple[int, float, float]] = None
 
@@ -545,8 +532,6 @@ class Verdict:
             obj["model"] = dict(self.model)
         if self.from_cache:
             obj["from_cache"] = True
-        if self.prepass is not None:
-            obj["prepass"] = self.prepass
         if self.worker is not None:
             obj["worker"] = list(self.worker)
         return obj
@@ -574,7 +559,6 @@ class Verdict:
                 solver_verdict=obj.get("solver_verdict"),
                 model=dict(obj["model"]) if obj.get("model") is not None else None,
                 from_cache=bool(obj.get("from_cache", False)),
-                prepass=obj.get("prepass"),
                 worker=_worker_from_wire(obj.get("worker")),
             )
         except (KeyError, TypeError, ValueError) as error:
@@ -637,78 +621,6 @@ def verdict_from_result(
         ),
         conformance=tuple(str(report) for report in result.conformance_reports),
         obligations=tuple(str(obligation) for obligation in result.obligations),
-        prepass=None if result.prepass is None else result.prepass.verdict,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Static pre-verification (typed wire form)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StaticVerdict:
-    """The wire form of a static pre-verification outcome.
-
-    ``secure`` is a sound acceptance (the daemon may admit the request
-    past VC-budget control: it will never touch the solver); ``unknown``
-    carries the bail-out reasons and any diagnostics the analyses found.
-    """
-
-    name: str
-    verdict: str  # 'secure' | 'unknown'
-    reasons: Tuple[str, ...] = ()
-    diagnostics: Tuple["Diagnostic", ...] = ()
-
-    @property
-    def secure(self) -> bool:
-        return self.verdict == "secure"
-
-    def to_wire(self) -> dict:
-        obj: Dict[str, Any] = {"name": self.name, "verdict": self.verdict}
-        if self.reasons:
-            obj["reasons"] = list(self.reasons)
-        if self.diagnostics:
-            obj["diagnostics"] = [diagnostic.to_wire() for diagnostic in self.diagnostics]
-        return obj
-
-    @classmethod
-    def from_wire(cls, obj: Mapping[str, Any]) -> "StaticVerdict":
-        try:
-            return cls(
-                name=str(obj["name"]),
-                verdict=str(obj["verdict"]),
-                reasons=tuple(str(r) for r in obj.get("reasons", ())),
-                diagnostics=tuple(
-                    Diagnostic.from_wire(d) for d in obj.get("diagnostics", ())
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise RequestError(f"malformed static verdict {obj!r}: {error}")
-
-
-def static_verdict(request: VerificationRequest) -> StaticVerdict:
-    """Run the static prepass for one request without verifying it.
-
-    Formula requests are always ``unknown`` (they carry no program);
-    malformed requests raise :class:`RequestError` like :func:`execute`.
-    """
-    request.validate()
-    if request.formula is not None:
-        return StaticVerdict(
-            name=request.label(),
-            verdict="unknown",
-            reasons=("raw validity queries have no program to analyze",),
-        )
-    from .analysis.prepass import run_prepass
-
-    spec, _instances = request.build_program_spec()
-    report = run_prepass(spec)
-    return StaticVerdict(
-        name=request.label(),
-        verdict=report.verdict,
-        reasons=report.reasons,
-        diagnostics=report.diagnostics,
     )
 
 
@@ -766,12 +678,7 @@ def execute(
             from .casestudies import case_by_name
 
             expected = case_by_name(request.case).expected_verified
-        result = verify(
-            spec,
-            bounded_instances=instances,
-            session=session,
-            static_prepass=request.static_prepass,
-        )
+        result = verify(spec, bounded_instances=instances, session=session)
         return verdict_from_result(
             result, expected=expected, elapsed=time.perf_counter() - start
         )
@@ -812,7 +719,6 @@ def verify_batch(
 __all__ = [
     "BatchReport",
     "DECIDED_EVENTS",
-    "Diagnostic",
     "EVENT_ACCEPTED",
     "EVENT_BYE",
     "EVENT_DONE",
@@ -830,13 +736,11 @@ __all__ = [
     "InstanceGroups",
     "RequestError",
     "ResourceRequest",
-    "StaticVerdict",
     "Verdict",
     "VerificationRequest",
     "estimate_vc_count",
     "execute",
     "sort_from_wire",
-    "static_verdict",
     "term_from_wire",
     "term_to_wire",
     "verdict_from_result",

@@ -225,8 +225,8 @@ figure1_commuting = CaseStudy(
 
 _SEQUENTIAL_TALLY_SRC = """
 // Sequential-Tally: one thread sums low entries through the shared API.
-// No interference, no secret-dependent observables: the static prepass
-// of repro.analysis proves this secure without a single solver call.
+// No interference, no secret-dependent observables: the Add block is
+// discharged symbolically like the other counter cases.
 c := alloc(0)
 priv := at(hdata, 0) + at(hdata, 1)       // secret stays private
 share IntegerAdd
@@ -244,13 +244,13 @@ print(result)
 sequential_tally = CaseStudy(
     name="Sequential-Tally",
     description="single-threaded tally over the shared counter API; "
-    "discharged by the static prepass with zero SMT queries",
+    "its Add block is discharged symbolically like the other counter cases",
     source=_SEQUENTIAL_TALLY_SRC,
     resources=(ResourceDecl("IntegerAdd", integer_add_spec(), "c"),),
     low_inputs=frozenset({"n", "xs"}),
     high_inputs=frozenset({"hdata"}),
     expected_verified=True,
-    paper=None,  # not a Table 1 row; exercises the static fast path
+    paper=None,  # not a Table 1 row; the one single-threaded counter case
     instances=make_instances(
         {"n": 3, "xs": (2, 0, 5)},
         [{"hdata": (0, 0)}, {"hdata": (9, 4)}],

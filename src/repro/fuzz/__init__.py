@@ -4,10 +4,9 @@
 semantics: a seeded generator builds adversarial concurrent programs
 over the :mod:`repro.lang` AST with specs from the
 :mod:`repro.spec.library` catalogue, and a differential oracle compares
-the verifier's verdict (static prepass on *and* off) against empirical
-noninterference measured by actually executing the program under many
-schedulers.  "PROVED but leaks" is a hard soundness failure; a prepass /
-full-pipeline verdict split is a fast-path bug.  Failures are minimized
+the verifier's verdict against empirical noninterference measured by
+actually executing the program under many schedulers.  "PROVED but
+leaks" is a hard soundness failure.  Failures are minimized
 by a delta-debugging shrinker and emitted as self-contained ``.prog``
 repro files.
 

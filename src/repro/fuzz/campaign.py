@@ -48,8 +48,6 @@ def _failure_entry(
         "mutation": case.mutation,
         "kind": kind,
         "verified": outcome.verified,
-        "verified_no_prepass": outcome.verified_no_prepass,
-        "prepass": outcome.prepass,
         "empirical_secure": outcome.empirical_secure,
         "empirical_mode": outcome.empirical_mode,
         "runtime_error": outcome.runtime_error,
@@ -58,7 +56,7 @@ def _failure_entry(
         "statements": statement_count(case.program),
     }
     shrunk = case
-    if config.shrink and kind in ("soundness", "prepass-disagreement"):
+    if config.shrink and kind == "soundness":
 
         def still_fails(candidate: GeneratedCase) -> bool:
             probe = check_case(
@@ -90,10 +88,6 @@ def run_campaign(
     counters = {
         "verified": 0,
         "rejected": 0,
-        "prepass_secure": 0,
-        "prepass_unknown": 0,
-        "prepass_skipped": 0,
-        "differential_runs": 0,
         "exhaustive": 0,
         "sampled": 0,
         # Summed OracleOutcome.executions: distinct final states explored
@@ -121,14 +115,6 @@ def run_campaign(
         label = case.mutation or "secure-template"
         mutations[label] = mutations.get(label, 0) + 1
         counters["verified" if outcome.verified else "rejected"] += 1
-        if outcome.prepass == "secure":
-            counters["prepass_secure"] += 1
-        elif outcome.prepass == "unknown":
-            counters["prepass_unknown"] += 1
-        else:
-            counters["prepass_skipped"] += 1
-        if outcome.verified_no_prepass is not None:
-            counters["differential_runs"] += 1
         if outcome.empirical_mode == "exhaustive":
             counters["exhaustive"] += 1
         elif outcome.empirical_mode == "sampled":
@@ -145,7 +131,6 @@ def run_campaign(
 
     elapsed = time.perf_counter() - started
     soundness = [f for f in failures if f["kind"] == "soundness"]
-    disagreements = [f for f in failures if f["kind"] == "prepass-disagreement"]
     runtime_errors = [f for f in failures if f["kind"] == "runtime-error"]
     return {
         "seed": config.seed,
@@ -158,9 +143,8 @@ def run_campaign(
         "mutations": dict(sorted(mutations.items())),
         "counters": counters,
         "soundness_failures": soundness,
-        "prepass_disagreements": disagreements,
         "runtime_errors": runtime_errors,
-        "ok": not (soundness or disagreements or runtime_errors),
+        "ok": not (soundness or runtime_errors),
     }
 
 

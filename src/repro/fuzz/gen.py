@@ -423,9 +423,8 @@ def _thread_body_straight(draft: _Draft, t: int, indices: Sequence[int]) -> Comm
 
 def _thread_body_sequential(draft: _Draft) -> Command:
     """Sequential-Tally shape: a dead secret read followed by a plain loop
-    through the shared API.  No parallelism, no secret-bounded loops — the
-    one program family the static prepass can prove secure outright, which
-    is exactly what gives the prepass-on/off differential its coverage."""
+    through the shared API.  No parallelism, no secret-bounded loops: the
+    one single-thread shape among the generator's raced families."""
     i = Var("i1")
     steps = _op_statements(draft, "1", i)
     steps.append(Assign(i.name, _add(i, Lit(1))))

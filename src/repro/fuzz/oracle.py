@@ -1,14 +1,10 @@
 """The differential soundness oracle.
 
-For each generated case the oracle derives three independent verdicts:
+For each generated case the oracle derives two independent verdicts:
 
-1. **Verifier, fast path on** — :func:`repro.verifier.frontend.verify`
-   with ``static_prepass=True`` (the production configuration).
-2. **Verifier, fast path off** — re-run with ``static_prepass=False``
-   whenever the prepass actually engaged (it can only change the outcome
-   when it reported ``secure``); any difference in the verified verdict
-   is a *fast-path bug*.
-3. **Empirical noninterference** — the Def. 2.1 checker that ``verify``'s
+1. **Verifier** — one :func:`repro.verifier.frontend.verify` call, the
+   same pipeline every request takes.
+2. **Empirical noninterference** — the Def. 2.1 checker that ``verify``'s
    stage 4 uses,
    :func:`~repro.security.noninterference.check_noninterference`, over
    the case's instance groups: every reachable final state when each
@@ -78,8 +74,6 @@ class OracleOutcome:
 
     case: GeneratedCase
     verified: bool
-    prepass: Optional[str]  # 'secure' | 'unknown' | None (did not engage)
-    verified_no_prepass: Optional[bool]  # None when the fast path never fired
     empirical_secure: Optional[bool]
     empirical_mode: Optional[str]  # 'exhaustive' | 'sampled'
     #: ``NIReport.executions_checked``: distinct final states explored
@@ -98,10 +92,6 @@ class OracleOutcome:
     @property
     def soundness_failure(self) -> bool:
         return self.verified and self.empirical_secure is False
-
-    @property
-    def prepass_disagreement(self) -> bool:
-        return self.verified_no_prepass is not None and self.verified_no_prepass != self.verified
 
 
 # -- empirical check ---------------------------------------------------------
@@ -147,8 +137,6 @@ def check_case(
     """Run the full differential check on one case."""
     start = time.perf_counter()
     verified = False
-    prepass: Optional[str] = None
-    verified_no_prepass: Optional[bool] = None
     empirical_secure: Optional[bool] = None
     empirical_mode: Optional[str] = None
     executions = 0
@@ -158,23 +146,11 @@ def check_case(
     runtime_error: Optional[str] = None
 
     try:
-        spec = case.program_spec()
-        result_on = verify(
-            spec, bounded_instances=case.instances, static_prepass=True, session=session
-        )
-        verified = _hooked(case, result_on.verified)
-        prepass = result_on.prepass.verdict if result_on.prepass is not None else None
-        if prepass == "secure":
-            # Only a 'secure' prepass skips pipeline stages, so only then
-            # can the fast path change the verdict — run the reference.
-            result_off = verify(
-                spec, bounded_instances=case.instances, static_prepass=False, session=session
-            )
-            verified_no_prepass = _hooked(case, result_off.verified)
+        result = verify(case.program_spec(), bounded_instances=case.instances, session=session)
+        verified = _hooked(case, result.verified)
     except Exception as error:  # a crash on a well-formed case is a finding
         return OracleOutcome(
-            case=case, verified=False, prepass=None, verified_no_prepass=None,
-            empirical_secure=None, empirical_mode=None, executions=0,
+            case=case, verified=False, empirical_secure=None, empirical_mode=None, executions=0,
             witness=None, leak_bits=None, leak_threshold=None,
             runtime_error=f"verify: {type(error).__name__}: {error}",
             elapsed=time.perf_counter() - start,
@@ -197,8 +173,6 @@ def check_case(
     return OracleOutcome(
         case=case,
         verified=verified,
-        prepass=prepass,
-        verified_no_prepass=verified_no_prepass,
         empirical_secure=empirical_secure,
         empirical_mode=empirical_mode,
         executions=executions,
@@ -214,8 +188,6 @@ def failure_kind(outcome: OracleOutcome) -> Optional[str]:
     """The failure class of an outcome, if any (soundness dominates)."""
     if outcome.soundness_failure:
         return "soundness"
-    if outcome.prepass_disagreement:
-        return "prepass-disagreement"
     if outcome.runtime_error is not None:
         return "runtime-error"
     return None

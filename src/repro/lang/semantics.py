@@ -330,11 +330,13 @@ _ATOMIC_FUEL = 1_000_000
 def _run_atomic(cmd: Atomic, state: State, choice: str) -> tuple[Step, ...]:
     """Run an atomic body to completion in one indivisible step (rule Atom).
 
-    The body of an atomic block is sequential in all our programs; if it
-    contains parallelism we resolve it left-first, which is one of the
-    behaviours admitted by the ``→*`` premise of the Atom rule.  A body
-    that gets stuck (a nested blocked guard) has no ``→*`` run to ``skip``,
-    so the block has no step, like a false ``when`` guard (App. D).
+    One successor per distinct terminal of the body's ``→*`` runs: its
+    final states, plus ``abort`` when some run aborts.  A sequential body
+    has one run, followed step by step; from the first step with more
+    than one successor (a ``||`` inside the body) :func:`_search_atomic`
+    takes over.  A body that gets stuck (a nested blocked guard) on every
+    run has no ``→*`` run to ``skip``, so the block has no step, like a
+    false ``when`` guard (App. D).
     """
     config = Config(cmd.body, state)
     for _ in range(_ATOMIC_FUEL):
@@ -343,8 +345,36 @@ def _run_atomic(cmd: Atomic, state: State, choice: str) -> tuple[Step, ...]:
         successors = list(_step(config.command, config.state, ""))
         if not successors:
             return ()
+        if len(successors) > 1:
+            return _search_atomic(successors, choice)
         first = successors[0]
         if first.aborted():
             return (Step(choice, ABORT),)
         config = first.result
     raise RuntimeError("atomic block exceeded fuel (possible divergence)")
+
+
+def _search_atomic(successors: list[Step], choice: str) -> tuple[Step, ...]:
+    """Every distinct terminal of an atomic body reachable from
+    ``successors``: a visited-set search, left branches first."""
+    finals: dict[State, None] = {}  # insertion-ordered set
+    aborted = False
+    seen: set[Config] = set()
+    pending = successors[::-1]
+    while pending:
+        successor = pending.pop()
+        if successor.aborted():
+            aborted = True
+            continue
+        config = successor.result
+        if config in seen:
+            continue
+        if len(seen) >= _ATOMIC_FUEL:
+            raise RuntimeError("atomic block exceeded fuel (possible divergence)")
+        seen.add(config)
+        if config.is_final():
+            finals[config.state] = None
+        else:
+            pending.extend(list(_step(config.command, config.state, ""))[::-1])
+    steps = tuple(Step(choice, Config(Skip(), final)) for final in finals)
+    return steps + ((Step(choice, ABORT),) if aborted else ())

@@ -45,14 +45,9 @@ outlives a request: each one runs on a
   (:meth:`repro.smt.cache.ValidityCache.namespaced`); tenants can carry
   sort overrides and per-tenant solver budgets (``max_models``),
   configured over the wire with the ``tenant`` op.
-
-* **Static pre-verification on the admission path** — a request whose
-  VC estimate is over budget gets one more chance: when the static
-  prepass of :mod:`repro.analysis` proves it secure, the worker will
-  discharge it without ever touching the solver, so the VC estimate is
-  moot and the request is admitted anyway (counted in
-  ``stats["prepass_admissions"]``).  The daemon also answers ``lint``
-  ops supervisor-side — static analysis only, no worker round-trip.
+* **Lint** — the daemon answers ``lint`` ops supervisor-side with the
+  static analyses of :mod:`repro.analysis` (no worker round-trip).
+  Lint never decides admission: that is the VC estimate alone.
 
 Protocol ops (client → server)::
 
@@ -215,7 +210,6 @@ class VerificationServer:
         self.worker_crashes = 0
         self.retries = 0
         self.load_shed = 0
-        self.prepass_admissions = 0
         self.lints_served = 0
 
         self._servers: list = []
@@ -426,7 +420,6 @@ class VerificationServer:
             "worker_crashes": self.worker_crashes,
             "retries": self.retries,
             "load_shed": self.load_shed,
-            "prepass_admissions": self.prepass_admissions,
             "lints": self.lints_served,
             "queue_deadline": self.queue_deadline,
             "cache": self._aggregate_cache_stats(),
@@ -722,24 +715,12 @@ class VerificationServer:
     def _admit(self, request: api.VerificationRequest, budget: int) -> Optional[str]:
         """None when admitted, else the human-readable rejection reason.
 
-        Admission composes the syntactic VC estimate with the static
-        prepass: an over-budget request that the prepass proves secure
-        is admitted anyway — the worker's fast path will discharge it
-        without a single solver call, so the VC count never material-
-        izes.  The prepass only runs for over-budget requests (the
-        common case stays a pure arithmetic check) and never causes a
-        rejection of its own.
+        Admission is the syntactic VC estimate against the budget, a pure
+        arithmetic check made before any solving starts.
         """
         estimate = api.estimate_vc_count(request)
         if estimate <= budget:
             return None
-        if request.static_prepass:
-            try:
-                if api.static_verdict(request).secure:
-                    self.prepass_admissions += 1
-                    return None
-            except api.RequestError:
-                pass
         return (
             f"request {request.label()!r} estimates {estimate} VCs, "
             f"over the admission budget of {budget}"

@@ -18,17 +18,15 @@
    space fits the checker's state budget; sampled schedules decide only
    beyond it.  A check that ran no execution discharges nothing.
 
-The verdict is ``verified`` only when every stage passes; every failure
-carries a human-readable reason, and counterexamples are concrete.
+Every program takes this one path.  The verdict is ``verified`` only
+when every stage passes; every failure carries a human-readable reason,
+and counterexamples are concrete.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
-
-if TYPE_CHECKING:  # imported lazily at run time: repro.analysis imports us
-    from ..analysis.prepass import PrepassReport
+from typing import Callable, Optional, Sequence
 
 from ..security.noninterference import NIReport, channel_observer, check_noninterference
 from ..smt.session import SolverSession
@@ -53,9 +51,6 @@ class VerificationResult:
     ni_report: Optional[NIReport] = None
     #: (action, solver verdict string) per block discharged symbolically.
     symbolic_conformance: tuple = ()
-    #: The static pre-verification report (None when the prepass is off).
-    #: When ``prepass.secure``, stages 3 and 4 were skipped entirely.
-    prepass: Optional[PrepassReport] = None
 
     def summary(self) -> str:
         lines = [f"{self.name}: {'VERIFIED' if self.verified else 'REJECTED'}"]
@@ -70,7 +65,6 @@ def verify(
     program_spec: ProgramSpec,
     bounded_instances: Optional[InstanceGenerator] = None,
     session: Optional[SolverSession] = None,
-    static_prepass: bool = True,
 ) -> VerificationResult:
     """Run the full verification pipeline on one program.
 
@@ -91,14 +85,6 @@ def verify(
     exhaustive within its state budget, sampled beyond it.  Each
     obligation's ``method`` names the mode that decided.  Instances with
     no execution to check are rejected like missing instances.
-
-    ``static_prepass`` (default on) runs the sound static pre-verification
-    of :mod:`repro.analysis` after stage 2: when the lockset race detector
-    and the flow analysis jointly prove the program secure, stages 3 and 4
-    are skipped — no VCs are generated and the SMT solver is never
-    touched.  The prepass only ever *accepts*; any rejection still comes
-    from the full pipeline, so disabling it (``static_prepass=False``)
-    changes wall-clock time, never verdicts.
     """
     errors: list[str] = []
 
@@ -115,31 +101,6 @@ def verify(
     analyzer = TaintAnalyzer(program_spec)
     analysis = analyzer.analyze()
     errors.extend(analysis.errors)
-
-    # Static pre-verification fast path: when the race detector and the
-    # flow analysis jointly prove the program secure (and stages 1–2 are
-    # clean), the security property holds without the abstract-
-    # commutativity argument — skip VC generation and SMT discharge.
-    # Deferred taint obligations (e.g. a retroactive action count under
-    # a high branch) encode abstraction observability the flow model
-    # does not cover, so any obligation disables the fast path.
-    prepass_report: Optional["PrepassReport"] = None
-    if static_prepass and not errors and not analysis.obligations:
-        from ..analysis.prepass import run_prepass
-
-        prepass_report = run_prepass(program_spec)
-        if prepass_report.secure:
-            return VerificationResult(
-                name=program_spec.name,
-                verified=True,
-                errors=(),
-                obligations=(),
-                validity_reports=validity_reports,
-                conformance_reports=(),
-                ni_report=None,
-                symbolic_conformance=(),
-                prepass=prepass_report,
-            )
 
     # Stage 3: action conformance of every annotated atomic block —
     # symbolically where possible, by semantic sampling otherwise.  The
@@ -210,6 +171,5 @@ def verify(
         conformance_reports=tuple(conformance_reports),
         ni_report=ni_report,
         symbolic_conformance=tuple(symbolic_conformance),
-        prepass=prepass_report,
     )
 

@@ -46,8 +46,8 @@ def session():
 
 
 def test_small_campaign_is_clean():
-    """No soundness failures, no prepass disagreements, no crashes on a
-    fixed-seed campaign (the CI smoke job runs the same check at x10)."""
+    """No soundness failures and no crashes on a fixed-seed campaign
+    (the CI smoke job runs the same check at x10)."""
     report = run_campaign(FuzzConfig(seed=0, count=20, shrink=False))
     assert report["ok"], json.dumps(report, indent=2, default=str)[:2000]
     assert report["generated"] == 20
@@ -138,8 +138,6 @@ def test_oracle_outcome_fields_are_coherent(session):
             assert outcome.empirical_secure is not None
             assert outcome.empirical_mode in ("exhaustive", "sampled")
             assert outcome.executions > 0
-        if outcome.prepass == "secure":
-            assert outcome.verified_no_prepass is not None
         if outcome.witness is None:
             assert outcome.empirical_secure is not False
 

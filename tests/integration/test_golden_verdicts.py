@@ -1,11 +1,9 @@
 """Golden-verdict regression: pin every corpus verdict to a catalogue.
 
 ``tests/golden/verdicts.json`` records, for each of the corpus case
-studies, the full verification verdict *and* the static-prepass verdict
-(``secure`` / ``unknown`` / ``null`` when the prepass did not engage).
-Any drift — a case flipping verified, or the fast path suddenly
-claiming (or no longer claiming) a solver-free proof — fails tier-1
-until the catalogue is deliberately regenerated:
+studies, the verification verdict.  Any drift — a case flipping
+verified in either direction — fails tier-1 until the catalogue is
+deliberately regenerated:
 
     REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/integration/test_golden_verdicts.py
 
@@ -28,10 +26,7 @@ GOLDEN_PATH = Path(__file__).resolve().parents[1] / "golden" / "verdicts.json"
 
 def _observed_entry(case, session):
     result = case.verify(session=session)
-    return {
-        "verified": result.verified,
-        "prepass": result.prepass.verdict if result.prepass is not None else None,
-    }
+    return {"verified": result.verified}
 
 
 @pytest.fixture(scope="module")

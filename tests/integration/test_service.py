@@ -260,10 +260,14 @@ def test_two_tenant_batches_overlap_in_wall_time():
 def test_admission_control_rejects_over_budget_requests(daemon):
     with _client(daemon) as client:
         client.configure_tenant("stingy", vc_budget=0)
-        outcome = client.run_batch(requests_for_cases(["Figure 3"]), tenant="stingy")
+        outcome = client.run_batch(
+            requests_for_cases(["Figure 3", "Sequential-Tally"]), tenant="stingy"
+        )
     assert not outcome.verdicts
-    assert 0 in outcome.rejections
-    assert "admission budget" in outcome.rejections[0]
+    # Admission is the VC estimate alone: a case no static analysis can
+    # fault is refused like any other over-budget request.
+    assert sorted(outcome.rejections) == [0, 1]
+    assert all("admission budget" in reason for reason in outcome.rejections.values())
 
 
 def test_whole_batch_over_limit_is_refused(daemon):
@@ -334,6 +338,45 @@ def test_timeout_kills_worker_and_daemon_stays_serviceable():
     finally:
         stop_daemon(socket_path, thread)
         shutil.rmtree(tmp, ignore_errors=True)
+
+
+# ---------------------------------------------------------------------------
+# The lint op (answered supervisor-side, no worker round-trip)
+# ---------------------------------------------------------------------------
+
+
+def test_lint_op_over_the_wire(daemon):
+    from repro.analysis.diagnostics import Diagnostic
+
+    with _client(daemon) as client:
+        diagnostics = client.lint(
+            sources=[
+                ("racy", "c := alloc(0)\n{ [c] := 1 } || { [c] := 2 }"),
+                ("leaky", "print(h)"),
+            ],
+            high=["h"],
+        )
+    codes = sorted(d.code for d in diagnostics)
+    assert "R001" in codes
+    assert "F001" in codes
+    # Wire forms are plain JSON: a round trip through the codec is exact.
+    for diagnostic in diagnostics:
+        assert (
+            Diagnostic.from_wire(json.loads(json.dumps(diagnostic.to_wire())))
+            == diagnostic
+        )
+
+
+def test_lint_op_with_case_context(daemon):
+    with _client(daemon) as client:
+        diagnostics = client.lint(cases=["Sales-By-Region (guard split)"])
+    assert any(d.code == "R003" for d in diagnostics)
+
+
+def test_lint_op_rejects_unknown_cases(daemon):
+    with _client(daemon) as client:
+        with pytest.raises(ServiceError):
+            client.lint(cases=["No-Such-Case"])
 
 
 # ---------------------------------------------------------------------------

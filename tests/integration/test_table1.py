@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.casestudies import EXTRA_SECURE_CASES, INSECURE_CASES, TABLE1_CASES
+from repro.casestudies import EXTRA_SECURE_CASES, INSECURE_CASES, TABLE1_CASES, case_by_name
 from repro.verifier import TaintAnalyzer, check_conformance
 
 
@@ -16,6 +16,14 @@ def test_table1_case_verifies(case):
 def test_extra_secure_case_verifies(case):
     result = case.verify()
     assert result.verified, result.summary()
+
+
+def test_sequential_tally_discharges_its_block_symbolically():
+    # Single-threaded, yet it takes the same pipeline as every other case:
+    # its Add block is discharged by the solver like the other counters.
+    result = case_by_name("Sequential-Tally").verify()
+    assert result.verified, result.summary()
+    assert result.symbolic_conformance == (("Add", "bounded"),)
 
 
 @pytest.mark.parametrize("case", INSECURE_CASES, ids=lambda c: c.name)

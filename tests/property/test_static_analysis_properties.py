@@ -1,4 +1,4 @@
-"""Property-based tests for the static pre-verification analyses.
+"""Property-based tests for the static analyses.
 
 * **Lockset vs. brute force** — on a generator of two-branch parallel
   programs (plain reads/writes, atomic read-modify-writes, local

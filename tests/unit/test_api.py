@@ -1,7 +1,11 @@
 """Unit tests for the ``repro.api`` facade: wire round-trips, request
 validation, fork/join program requests, admission-control estimation,
 and the names retired from the API (the ``GLOBAL`` cache singleton, the
-session pool and the persistent cache)."""
+session pool, the persistent cache and the static prepass)."""
+
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +91,15 @@ def test_formula_request_round_trip():
     rebuilt = api.VerificationRequest.from_wire(request.to_wire())
     assert rebuilt == request
     assert rebuilt.build_sorts() == {"x": INT}
+
+
+def test_retired_static_prepass_wire_key_is_ignored():
+    wire = {"case": "Sequential-Tally"}
+    plain = api.VerificationRequest.from_wire(wire)
+    flagged = api.VerificationRequest.from_wire({**wire, "static_prepass": False})
+    assert flagged == plain
+    assert flagged.to_wire() == wire
+    assert api.execute(flagged).observable() == api.execute(plain).observable()
 
 
 def test_request_requires_exactly_one_shape():
@@ -315,6 +328,9 @@ def test_verify_batch_shares_a_session():
         ("repro.api", "open_cache"),
         ("repro.api", "CacheHandle"),
         ("repro.api", "CACHE_FILENAME"),
+        ("repro.api", "StaticVerdict"),
+        ("repro.api", "static_verdict"),
+        ("repro.api", "Diagnostic"),
     ],
 )
 def test_removed_shims_raise_attribute_error(module, name):
@@ -333,3 +349,23 @@ def test_module_getattr_still_raises_for_unknown_names():
 
     with pytest.raises(AttributeError):
         cache_module.no_such_attribute
+
+
+def test_api_does_not_load_the_static_analyses():
+    # repro.analysis backs lint only; verifying a request never loads it.
+    script = (
+        "import sys\n"
+        "from repro import api\n"
+        "api.execute(api.VerificationRequest(case='Figure 2'))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.analysis')))\n"
+    )
+    src = Path(__file__).resolve().parents[2] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

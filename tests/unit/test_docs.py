@@ -69,7 +69,7 @@ class TestInternalLinks:
 
     def test_readme_mentions_the_cli_flags(self):
         text = (REPO_ROOT / "README.md").read_text()
-        for needle in ("python -m repro", "--no-static-prepass"):
+        for needle in ("python -m repro", "--format json"):
             assert needle in text
 
 
@@ -84,7 +84,7 @@ class TestCliSmoke:
             timeout=120,
         )
         assert result.returncode == 0, result.stderr
-        assert "--no-static-prepass" in result.stdout
+        assert "subcommands" in result.stdout
 
     @pytest.mark.parametrize(
         "argv",
@@ -93,6 +93,7 @@ class TestCliSmoke:
             ["--cache-dir", "store"],
             ["serve", "--cache-dir", "store"],
             ["serve", "--max-sessions", "4"],
+            ["--no-static-prepass"],
         ],
         ids=lambda argv: " ".join(argv),
     )

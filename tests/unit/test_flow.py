@@ -1,6 +1,9 @@
 """Unit tests for the PC-taint flow analysis (repro.analysis.flow)."""
 
-from repro.analysis import analyze_flow, analyze_spec_flow
+import pytest
+
+from repro import api
+from repro.analysis import analyze_flow, analyze_spec_flow, run_prepass
 from repro.casestudies import ALL_CASES, case_by_name
 from repro.lang import parse_program
 
@@ -165,8 +168,8 @@ class TestSpecFlow:
         assert analyze_spec_flow(case.program_spec()).secure
 
     def test_every_parallel_corpus_case_is_unknown(self):
-        # Every Table-1 case uses interfering || branches: the fast path
-        # must leave them all to the full verifier.
+        # Every Table-1 case uses interfering || branches: the flow
+        # analysis cannot prove any of them secure.
         for case in ALL_CASES:
             if case.name == "Sequential-Tally":
                 continue
@@ -179,3 +182,17 @@ class TestSpecFlow:
                 continue
             report = analyze_spec_flow(case.program_spec())
             assert not report.secure, case.name
+
+
+class TestPrepassOneSided:
+    @pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.name)
+    def test_prepass_never_accepts_what_the_verifier_rejects(self, case):
+        # One-sided soundness: prepass 'secure' implies a verified
+        # verdict from the full pipeline.
+        report = run_prepass(case.program_spec())
+        if report.secure:
+            full = api.execute(api.VerificationRequest(case=case.name))
+            assert full.verified, (
+                f"{case.name}: static prepass claimed secure but the "
+                f"verifier rejected with {full.errors}"
+            )

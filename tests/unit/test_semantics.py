@@ -164,6 +164,29 @@ class TestAtomic:
         source = "{ atomic { atomic when (false) { skip } } } || { x := 1 }"
         assert {s.choice for s in step(make_config(source))} == {"R"}
 
+    def test_parallel_body_yields_every_terminal_state(self):
+        from repro.security.noninterference import all_outputs
+
+        program = parse_program("x := 0; atomic { { x := 1 } || { x := 2 } }; print(x)")
+        assert all_outputs(program, {}) == {(1,), (2,)}
+
+    def test_parallel_body_runs_past_a_branch_blocked_left_first(self):
+        # Left first, y := 1 blocks the right branch's guard; right first
+        # runs the guard, then y := 1 — one run reaches skip.
+        from repro.lang.interpreter import run
+
+        program = parse_program(
+            "y := 0; atomic { { y := 1 } || { atomic when (y == 0) { skip } } }; print(y)"
+        )
+        assert run(program, {}).state.output == (1,)
+
+    def test_parallel_body_keeps_both_aborting_and_finishing_runs(self):
+        config = make_config("atomic { { x := [p] } || { p := a } }", {"p": 9, "a": 1}, {1: 5})
+        steps = step(config)
+        assert any(s.result == ABORT for s in steps)
+        finals = [s.result.state for s in steps if s.result != ABORT]
+        assert [state.read_var("x") for state in finals] == [5]
+
 
 class TestForkJoin:
     def test_fork_and_join_have_no_structured_step(self):
