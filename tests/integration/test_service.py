@@ -270,6 +270,27 @@ def test_admission_control_rejects_over_budget_requests(daemon):
     assert all("admission budget" in reason for reason in outcome.rejections.values())
 
 
+def test_retired_static_prepass_key_on_the_socket_is_ignored(daemon):
+    # A raw batch line from a client that still sends the retired key is
+    # decoded as the plain request: admitted and verified as usual.
+    _server, socket_path = daemon
+    line = {
+        "op": "batch",
+        "requests": [{"case": "Sequential-Tally", "static_prepass": False}],
+    }
+    with socket_module.socket(socket_module.AF_UNIX) as raw:
+        raw.settimeout(60.0)
+        raw.connect(socket_path)
+        raw.sendall(json.dumps(line).encode() + b"\n")
+        reader = raw.makefile("rb")
+        events = []
+        while not events or events[-1]["event"] != api.EVENT_DONE:
+            events.append(json.loads(reader.readline()))
+    verdicts = [event for event in events if event["event"] == api.EVENT_VERDICT]
+    assert len(verdicts) == 1
+    assert api.Verdict.from_wire(verdicts[0]["verdict"]).verified
+
+
 def test_whole_batch_over_limit_is_refused(daemon):
     # the module daemon runs with batch_limit=32; 33 requests must be
     # refused outright (no accepted/done events)

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro import api
 from repro.casestudies import EXTRA_SECURE_CASES, INSECURE_CASES, TABLE1_CASES, case_by_name
+from repro.smt import clear_all_caches
+from repro.smt.session import SolverSession
 from repro.verifier import TaintAnalyzer, check_conformance
 
 
@@ -24,6 +27,16 @@ def test_sequential_tally_discharges_its_block_symbolically():
     result = case_by_name("Sequential-Tally").verify()
     assert result.verified, result.summary()
     assert result.symbolic_conformance == (("Add", "bounded"),)
+
+
+def test_sequential_tally_needs_the_solver():
+    # No accept-only shortcut stands in front of stages 3-4: a request
+    # for the case reaches the solver like any other (on a cold cache).
+    clear_all_caches()
+    session = SolverSession()
+    verdict = api.execute(api.VerificationRequest(case="Sequential-Tally"), session=session)
+    assert verdict.verified
+    assert session.stats()["queries"] > 0
 
 
 @pytest.mark.parametrize("case", INSECURE_CASES, ids=lambda c: c.name)

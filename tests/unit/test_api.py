@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro import api
-from repro.casestudies import THREADED_CASES, case_by_name
+from repro.casestudies import ALL_CASES, THREADED_CASES, case_by_name
 from repro.smt.cache import ValidityCache
 from repro.smt.sorts import BOOL, INT
 from repro.smt.terms import App, Const, SymVar
@@ -93,13 +93,22 @@ def test_formula_request_round_trip():
     assert rebuilt.build_sorts() == {"x": INT}
 
 
-def test_retired_static_prepass_wire_key_is_ignored():
-    wire = {"case": "Sequential-Tally"}
+@pytest.mark.parametrize(
+    "case", ALL_CASES + THREADED_CASES, ids=lambda case: case.name
+)
+def test_retired_static_prepass_wire_key_is_ignored(case):
+    # Clients written against the retired fast path may still send the
+    # key, with either value; every catalogue case must decode to the
+    # plain request and get the same verdict as before.
+    wire = {"case": case.name}
     plain = api.VerificationRequest.from_wire(wire)
-    flagged = api.VerificationRequest.from_wire({**wire, "static_prepass": False})
-    assert flagged == plain
-    assert flagged.to_wire() == wire
-    assert api.execute(flagged).observable() == api.execute(plain).observable()
+    for value in (False, True):
+        flagged = api.VerificationRequest.from_wire({**wire, "static_prepass": value})
+        assert flagged == plain
+        assert flagged.to_wire() == wire
+    verdict = api.execute(flagged)
+    assert verdict.observable() == api.execute(plain).observable()
+    assert verdict.verified == case.expected_verified
 
 
 def test_request_requires_exactly_one_shape():
